@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <functional>
+#include <cstddef>
 
 #include "core/match_observer.h"
 #include "obs/trace.h"
@@ -13,6 +13,46 @@ namespace xsm::core {
 
 using generate::SchemaMapping;
 using schema::NodeRef;
+
+namespace {
+
+// The best `capacity` mappings of one run so far (capacity 0 = all of
+// them), held as indices into the run's output vector in MappingOrder. It
+// ranks each new mapping as it is emitted and, once full, names the N-th
+// best Δ — the adaptive top-N floor — in O(1).
+class RunningTopN {
+ public:
+  RunningTopN(const std::vector<SchemaMapping>* mappings, size_t capacity)
+      : mappings_(mappings), capacity_(capacity) {}
+
+  // Records mappings->back(). Returns its 1-based rank among every mapping
+  // recorded so far, or 0 when that rank exceeds the capacity. A kept rank
+  // is exact: everything outside the kept set ranks below the worst kept.
+  size_t Add() {
+    const size_t index = mappings_->size() - 1;
+    auto before = [this](size_t a, size_t b) {
+      return generate::MappingOrder()((*mappings_)[a], (*mappings_)[b]);
+    };
+    if (full() && !before(index, order_.back())) return 0;
+    auto pos = std::upper_bound(order_.begin(), order_.end(), index, before);
+    const size_t rank = static_cast<size_t>(pos - order_.begin()) + 1;
+    order_.insert(pos, index);
+    if (capacity_ > 0 && order_.size() > capacity_) order_.pop_back();
+    return rank;
+  }
+
+  bool full() const { return capacity_ > 0 && order_.size() == capacity_; }
+
+  // Δ of the worst kept mapping: the N-th best Δ so far once full().
+  double floor_delta() const { return (*mappings_)[order_.back()].delta; }
+
+ private:
+  const std::vector<SchemaMapping>* mappings_;
+  size_t capacity_;
+  std::vector<size_t> order_;
+};
+
+}  // namespace
 
 Bellflower::Bellflower(const schema::SchemaForest* repository)
     : repository_(repository) {
@@ -28,6 +68,38 @@ Bellflower::Bellflower(const schema::SchemaForest* repository,
 double Bellflower::ResolveK(const objective::ObjectiveParams& params) const {
   if (params.k_norm > 0) return params.k_norm;
   return std::max(1, index_.max_diameter() - 1);
+}
+
+generate::ClusterCandidates BuildClusterCandidates(
+    const cluster::Cluster& cluster,
+    const std::vector<cluster::ClusterPoint>& points,
+    const match::ElementMatchingResult& matching) {
+  generate::ClusterCandidates cands;
+  cands.tree = cluster.tree;
+  cands.candidates.resize(matching.sets.size());
+  std::vector<int32_t> members = cluster.members;
+  std::sort(members.begin(), members.end(), [&points](int32_t a, int32_t b) {
+    return points[static_cast<size_t>(a)].node <
+           points[static_cast<size_t>(b)].node;
+  });
+  auto node_less = [](const match::MappingElement& e, const NodeRef& node) {
+    return e.node < node;
+  };
+  for (size_t n = 0; n < matching.sets.size(); ++n) {
+    // Bit n of a member's mask says it is in ME_n; members ascend, so each
+    // search resumes where the previous one ended.
+    const auto& me = matching.sets[n].elements;
+    auto& dst = cands.candidates[n];
+    auto from = me.begin();
+    for (int32_t m : members) {
+      const cluster::ClusterPoint& point = points[static_cast<size_t>(m)];
+      if ((point.personal_mask >> n & 1u) == 0) continue;
+      from = std::lower_bound(from, me.end(), point.node, node_less);
+      if (from == me.end()) break;
+      if (from->node == point.node) dst.push_back(*from++);
+    }
+  }
+  return cands;
 }
 
 Result<MatchResult> Bellflower::Match(const schema::SchemaTree& personal,
@@ -208,25 +280,26 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
   // clusters. A null `control` never stops.
   ExecutionMonitor monitor;
   if (control != nullptr) monitor = ExecutionMonitor(*control);
-  // Indices into result.mappings kept sorted by MappingOrder, so each
-  // running rank costs O(log k) compares + one insert instead of a linear
-  // rescan of everything found so far.
-  std::vector<size_t> rank_order;
-  if (observer != nullptr) {
+  // With top_n > 0 one bounded running top-N ranks every emitted mapping,
+  // observer or not: it feeds the adaptive δ below, so the search (and its
+  // counters) is the same with and without an observer, and the observer
+  // hears only mappings whose running rank is ≤ N — a superset of the final
+  // top N. With top_n == 0 it is unbounded and every mapping streams.
+  const bool adaptive =
+      options.adaptive_top_n && options.top_n > 0 &&
+      options.generator.algorithm == generate::Algorithm::kBranchAndBound;
+  RunningTopN running(&result.mappings, options.top_n);
+  if (observer != nullptr || adaptive) {
     // The generators append to result.mappings and then fire the hook, so
     // the new mapping is always the last element.
-    monitor.on_emit = [&result, &rank_order, observer]() {
-      const size_t new_index = result.mappings.size() - 1;
-      auto before = [&result](size_t a, size_t b) {
-        return generate::MappingOrder()(result.mappings[a],
-                                        result.mappings[b]);
-      };
-      auto pos = std::upper_bound(rank_order.begin(), rank_order.end(),
-                                  new_index, before);
-      size_t rank = static_cast<size_t>(pos - rank_order.begin()) + 1;
-      rank_order.insert(pos, new_index);
-      observer->OnMapping(result.mappings[new_index], rank);
+    monitor.on_emit = [&result, &running, observer]() {
+      const size_t rank = running.Add();
+      if (rank != 0 && observer != nullptr) {
+        observer->OnMapping(result.mappings.back(), rank);
+      }
     };
+  }
+  if (observer != nullptr) {
     monitor.on_partial_emit = [&result, observer]() {
       observer->OnPartialMapping(result.partial_mappings.back());
     };
@@ -316,34 +389,11 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
           std::popcount(points[static_cast<size_t>(m)].personal_mask));
     }
 
-    // Candidate lists: ME_n ∩ cluster. Both sides are sorted by NodeRef,
-    // so intersect with a linear merge.
-    std::vector<NodeRef> member_nodes;
-    member_nodes.reserve(c.members.size());
-    for (int32_t m : c.members) {
-      member_nodes.push_back(points[static_cast<size_t>(m)].node);
-    }
-    std::sort(member_nodes.begin(), member_nodes.end());
-
+    // Only useful clusters generate mappings; the others need candidate
+    // lists only as input to the partial-mapping generator.
     generate::ClusterCandidates& cands = all_candidates[ci];
-    cands.tree = c.tree;
-    cands.candidates.resize(personal.size());
-    for (size_t n = 0; n < personal.size(); ++n) {
-      const auto& me = matching->sets[n].elements;
-      auto& dst = cands.candidates[n];
-      size_t i = 0;
-      size_t j = 0;
-      while (i < me.size() && j < member_nodes.size()) {
-        if (me[i].node < member_nodes[j]) {
-          ++i;
-        } else if (member_nodes[j] < me[i].node) {
-          ++j;
-        } else {
-          dst.push_back(me[i]);
-          ++i;
-          ++j;
-        }
-      }
+    if (summary.useful || options.include_partial_mappings) {
+      cands = BuildClusterCandidates(c, points, *matching);
     }
 
     if (options.structural_matcher != nullptr &&
@@ -428,9 +478,6 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
 
   // Second pass: generate, tracking time-to-first-result. With adaptive
   // top-N pruning the effective δ ratchets up to the N-th best Δ seen.
-  const bool adaptive =
-      options.adaptive_top_n && options.top_n > 0 &&
-      gen_options.algorithm == generate::Algorithm::kBranchAndBound;
   bool first_seen = false;
   const size_t total_useful = useful_order.size();
   size_t sequence = 0;
@@ -441,16 +488,9 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
                                stats.cluster_summaries[summary_index[ci]]);
     }
     generate::GeneratorOptions cluster_options = gen_options;
-    if (adaptive && result.mappings.size() >= options.top_n) {
-      std::vector<double> deltas;
-      deltas.reserve(result.mappings.size());
-      for (const auto& m : result.mappings) deltas.push_back(m.delta);
-      std::nth_element(deltas.begin(),
-                       deltas.begin() + static_cast<long>(options.top_n) - 1,
-                       deltas.end(), std::greater<double>());
-      cluster_options.delta = std::max(
-          cluster_options.delta,
-          deltas[options.top_n - 1]);
+    if (adaptive && running.full()) {
+      cluster_options.delta =
+          std::max(cluster_options.delta, running.floor_delta());
     }
     generate::MappingGenerator generator(personal, objective,
                                          cluster_options);
@@ -504,11 +544,16 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
   // --- Stage ⑤: one ranked list. ------------------------------------------
   generate_span.reset();
   obs::ScopedSpan merge_span(trace, "topk_merge");
-  std::sort(result.mappings.begin(), result.mappings.end(),
-            generate::MappingOrder());
   stats.num_mappings = result.mappings.size();
   if (options.top_n > 0 && result.mappings.size() > options.top_n) {
-    result.mappings.resize(options.top_n);
+    const auto kept = result.mappings.begin() +
+                      static_cast<std::ptrdiff_t>(options.top_n);
+    std::partial_sort(result.mappings.begin(), kept, result.mappings.end(),
+                      generate::MappingOrder());
+    result.mappings.erase(kept, result.mappings.end());
+  } else {
+    std::sort(result.mappings.begin(), result.mappings.end(),
+              generate::MappingOrder());
   }
   result.execution = monitor.status();
   if (observer != nullptr) observer->OnFinish(result);

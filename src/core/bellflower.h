@@ -60,7 +60,8 @@ struct MatchOptions {
   /// overridden by `delta` above).
   generate::GeneratorOptions generator;
 
-  /// Keep only the best N mappings in the result (0 = keep all).
+  /// Keep only the best N mappings in the result (0 = keep all). Also
+  /// bounds the observer stream to mappings ranked ≤ N when found.
   size_t top_n = 0;
 
   /// With top_n > 0 and the B&B generator: once N mappings are known, the
@@ -199,6 +200,16 @@ struct ClusterState {
   double time_clustering_seconds = 0;
 };
 
+/// One cluster's candidate lists: candidates[n] = ME_n ∩ cluster, in
+/// NodeRef order, for every personal node n. `points` and `matching` are a
+/// ClusterState's (or a rescored copy of its matching with the same nodes).
+/// Costs O(|members| · log |ME_n|) per personal node: each member's mask
+/// bits name the sets it belongs to, so the rest of ME_n is never read.
+generate::ClusterCandidates BuildClusterCandidates(
+    const cluster::Cluster& cluster,
+    const std::vector<cluster::ClusterPoint>& points,
+    const match::ElementMatchingResult& matching);
+
 class MatchObserver;  // core/match_observer.h
 
 /// The matching system. Owns the structural index over the repository; the
@@ -228,11 +239,13 @@ class Bellflower {
 
   /// Anytime variant: `control` bounds the run (cooperative cancellation,
   /// wall-clock deadline, early exit after N mappings) and `observer` (may
-  /// be null) streams cluster progress and every emitted mapping as it is
-  /// found. A run that no limit interrupts produces a result byte-identical
-  /// to the blocking overload; an interrupted run returns the mappings
-  /// gathered so far with MatchResult::execution naming the reason — a cut
-  /// run is still Status-OK, not an error. Control is honored before
+  /// be null) streams cluster progress and emitted mappings as they are
+  /// found (every one, or with top_n = N those ranked ≤ N so far; see
+  /// MatchObserver::OnMapping). A run that no limit interrupts produces a
+  /// result byte-identical to the blocking overload (observer or not); an
+  /// interrupted run returns the mappings gathered so far with
+  /// MatchResult::execution naming the reason — a cut run is still
+  /// Status-OK, not an error. Control is honored before
   /// preprocessing, during its element-matching stage (per dictionary
   /// entry), and throughout generation at cluster and node-expansion
   /// granularity. (service::MatchService builds its *cached* states without

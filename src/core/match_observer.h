@@ -1,6 +1,7 @@
 // MatchObserver: streaming callbacks of one matching run. Where the
-// blocking API returns one MatchResult at the end, an observer sees every
-// mapping the moment the generator emits it — the delivery half of the
+// blocking API returns one MatchResult at the end, an observer sees mappings
+// the moment the generator emits them (with top_n, only those that enter the
+// running top N; see OnMapping) — the delivery half of the
 // paper's §7 time-to-first-good-mapping item (ClusterOrder decides *which*
 // cluster runs first, the observer lets the caller *act* on its output
 // immediately).
@@ -51,8 +52,16 @@ class MatchObserver {
 
   /// A mapping with Δ ≥ δ was emitted. `running_rank` is its 1-based rank
   /// under generate::MappingOrder among all mappings found so far in this
-  /// run (rank 1 = best so far); the final ranked list may still reorder or
-  /// truncate (top-N).
+  /// run (rank 1 = best so far); later mappings may still push it down.
+  ///
+  /// With MatchOptions::top_n == 0 this fires once for every mapping the
+  /// run finds. With top_n == N > 0 it fires only for mappings whose
+  /// running rank is ≤ N when emitted, so a caller sees O(N) mappings per
+  /// improvement rather than every one that clears δ. Every mapping of the
+  /// final top N is among them: its rank among the mappings found so far
+  /// can never exceed its rank in the final list. MatchStats::num_mappings
+  /// still counts every mapping with Δ ≥ δ, so it can exceed the number of
+  /// OnMapping calls.
   virtual void OnMapping(const generate::SchemaMapping& mapping,
                          size_t running_rank) {
     (void)mapping;

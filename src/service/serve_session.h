@@ -38,7 +38,11 @@ namespace xsm::service {
 
 /// Receives one complete NDJSON event line (no trailing newline) per call.
 /// Called from the thread executing the query or command — for submitted
-/// queries that is a service pool thread.
+/// queries that is a service pool thread. A sink never needs to be
+/// thread-safe: every ServeSession entry point calls the sink it was given
+/// from one thread at a time (RunBatch, whose members run concurrently on
+/// the pool, serializes them behind one lock). A sink shared by concurrent
+/// *calls* (say, two RunQuery on two threads) is the caller's to guard.
 using EventSink = std::function<void(const std::string& line)>;
 
 /// JSON string escaping for event payloads (quotes, backslashes, control

@@ -12,6 +12,9 @@
 //
 // Streaming / anytime execution (cancellation, deadlines, early exit):
 //   struct Printer : xsm::core::MatchObserver {
+//     // Every mapping found (options.top_n == 0), or with top_n = N only
+//     // those ranked ≤ N among the mappings found so far — a superset of
+//     // the final top N.
 //     void OnMapping(const xsm::generate::SchemaMapping& m,
 //                    size_t running_rank) override { ... }
 //   } printer;
