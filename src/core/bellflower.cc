@@ -1,9 +1,9 @@
 #include "core/bellflower.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstddef>
+#include <limits>
 
 #include "core/match_observer.h"
 #include "obs/trace.h"
@@ -52,6 +52,62 @@ class RunningTopN {
   std::vector<size_t> order_;
 };
 
+// Merges each ME_n (NodeRef-sorted) against the sorted points and charges
+// every element to its point's cluster: O(m·|points| + |ME|) time, with a
+// point → cluster map as the only temporary.
+ClusterProfile ProfileClusters(const match::ElementMatchingResult& matching,
+                               const std::vector<cluster::ClusterPoint>& points,
+                               const cluster::ClusteringResult& clustering) {
+  const size_t m = matching.sets.size();
+  ClusterProfile profile;
+  profile.num_personal_nodes = m;
+  profile.counts.assign(clustering.clusters.size() * m, 0);
+  profile.max_scores.assign(clustering.clusters.size() * m, 0.0);
+  constexpr size_t kNoCluster = std::numeric_limits<size_t>::max();
+  std::vector<size_t> cluster_of(points.size(), kNoCluster);
+  for (size_t ci = 0; ci < clustering.clusters.size(); ++ci) {
+    for (int32_t member : clustering.clusters[ci].members) {
+      cluster_of[static_cast<size_t>(member)] = ci;
+    }
+  }
+  for (size_t n = 0; n < m; ++n) {
+    size_t p = 0;
+    for (const match::MappingElement& element : matching.sets[n].elements) {
+      while (p < points.size() && points[p].node < element.node) ++p;
+      if (p == points.size()) break;
+      if (points[p].node != element.node || cluster_of[p] == kNoCluster) {
+        continue;
+      }
+      const size_t slot = cluster_of[p] * m + n;
+      ++profile.counts[slot];
+      profile.max_scores[slot] =
+          std::max(profile.max_scores[slot], element.score);
+    }
+  }
+  return profile;
+}
+
+// The admissible Δ bound of cluster `ci` (see Bellflower::ClusterDeltaBound);
+// `node_bound` is scratch space.
+double ClusterBound(const ClusterProfile& profile, size_t ci,
+                    const MatchOptions& options,
+                    const generate::MappingGenerator& generator,
+                    std::vector<double>* node_bound) {
+  const size_t m = profile.num_personal_nodes;
+  const double* best = profile.max_scores.data() + ci * m;
+  node_bound->assign(best, best + m);
+  if (options.structural_matcher != nullptr) {
+    // Rescoring computes (1 − w)·score + w·structural. With w ∈ [0,1] and
+    // structural ≤ 1 the same operations on (best, 1) bound it; w·1 == w.
+    const double w = options.structural_weight;
+    if (!(w >= 0.0 && w <= 1.0)) {
+      return std::numeric_limits<double>::infinity();
+    }
+    for (double& b : *node_bound) b = (1.0 - w) * b + w;
+  }
+  return generator.DeltaBound(*node_bound);
+}
+
 }  // namespace
 
 Bellflower::Bellflower(const schema::SchemaForest* repository)
@@ -68,6 +124,14 @@ Bellflower::Bellflower(const schema::SchemaForest* repository,
 double Bellflower::ResolveK(const objective::ObjectiveParams& params) const {
   if (params.k_norm > 0) return params.k_norm;
   return std::max(1, index_.max_diameter() - 1);
+}
+
+objective::BellflowerObjective Bellflower::Objective(
+    const schema::SchemaTree& personal, const MatchOptions& options) const {
+  return objective::BellflowerObjective(
+      options.objective.alpha, ResolveK(options.objective),
+      static_cast<int>(personal.size()),
+      static_cast<int>(personal.num_edges()));
 }
 
 generate::ClusterCandidates BuildClusterCandidates(
@@ -225,6 +289,8 @@ Result<ClusterState> Bellflower::ClusterFromMatching(
         clusterer.Cluster(state.points, set_sizes, options.kmeans));
   }
   state.time_clustering_seconds = timer.ElapsedSeconds();
+  state.profile =
+      ProfileClusters(state.matching, state.points, state.clustering);
   return state;
 }
 
@@ -241,6 +307,29 @@ Result<MatchResult> Bellflower::MatchWithState(
     const std::vector<size_t>* cluster_subset) const {
   return MatchWithStateImpl(personal, state, options, &control, observer,
                             cluster_subset);
+}
+
+Result<double> Bellflower::ClusterDeltaBound(
+    const schema::SchemaTree& personal, const ClusterState& state,
+    size_t cluster_index, const MatchOptions& options) const {
+  XSM_RETURN_NOT_OK(options.objective.Validate());
+  if (personal.empty()) {
+    return Status::InvalidArgument("personal schema is empty");
+  }
+  if (!state.profile.Fits(state.clustering.clusters.size(), personal.size())) {
+    return Status::InvalidArgument(
+        "cluster state has no profile of its clustering");
+  }
+  if (cluster_index >= state.clustering.clusters.size()) {
+    return Status::InvalidArgument("cluster index out of range");
+  }
+  generate::GeneratorOptions gen_options = options.generator;
+  gen_options.delta = options.delta;
+  const generate::MappingGenerator generator(
+      personal, Objective(personal, options), gen_options);
+  std::vector<double> node_bound;
+  return ClusterBound(state.profile, cluster_index, options, generator,
+                      &node_bound);
 }
 
 Result<MatchResult> Bellflower::MatchWithStateImpl(
@@ -281,21 +370,27 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
   ExecutionMonitor monitor;
   if (control != nullptr) monitor = ExecutionMonitor(*control);
   // With top_n > 0 one bounded running top-N ranks every emitted mapping,
-  // observer or not: it feeds the adaptive δ below, so the search (and its
-  // counters) is the same with and without an observer, and the observer
-  // hears only mappings whose running rank is ≤ N — a superset of the final
-  // top N. With top_n == 0 it is unbounded and every mapping streams.
+  // observer or not: it feeds the adaptive floor below, so the search (and
+  // its counters) is the same with and without an observer, and the
+  // observer hears only mappings whose running rank is ≤ N — a superset of
+  // the final top N. With top_n == 0 it is unbounded and every mapping
+  // streams.
   const bool adaptive =
       options.adaptive_top_n && options.top_n > 0 &&
       options.generator.algorithm == generate::Algorithm::kBranchAndBound;
   RunningTopN running(&result.mappings, options.top_n);
   if (observer != nullptr || adaptive) {
     // The generators append to result.mappings and then fire the hook, so
-    // the new mapping is always the last element.
-    monitor.on_emit = [&result, &running, observer]() {
+    // the new mapping is always the last element. Under adaptive top-N the
+    // floor the generator reads rises the moment the N-th best improves.
+    monitor.on_emit = [&result, &running, &monitor, observer, adaptive]() {
       const size_t rank = running.Add();
-      if (rank != 0 && observer != nullptr) {
+      if (rank == 0) return;
+      if (observer != nullptr) {
         observer->OnMapping(result.mappings.back(), rank);
+      }
+      if (adaptive && running.full()) {
+        monitor.RaiseDeltaFloor(running.floor_delta());
       }
     };
   }
@@ -303,6 +398,30 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
     monitor.on_partial_emit = [&result, observer]() {
       observer->OnPartialMapping(result.partial_mappings.back());
     };
+  }
+
+  const std::vector<cluster::ClusterPoint>& points = state.points;
+  const cluster::ClusteringResult& clustering = state.clustering;
+  const ClusterProfile& profile = state.profile;
+  const size_t m = personal.size();
+  if (!profile.Fits(clustering.clusters.size(), m)) {
+    return Status::InvalidArgument(
+        "cluster state has no profile of its clustering");
+  }
+  stats.time_clustering_seconds = state.time_clustering_seconds;
+  stats.kmeans = clustering.stats;
+  // With a cluster subset, run-level stats describe the subset's share of
+  // the work so per-shard stats sum to (roughly) the global run.
+  const size_t num_considered = cluster_subset != nullptr
+                                    ? cluster_subset->size()
+                                    : clustering.clusters.size();
+  stats.num_clusters = num_considered;
+  if (cluster_subset != nullptr) {
+    for (size_t ci : *cluster_subset) {
+      if (ci >= clustering.clusters.size()) {
+        return Status::InvalidArgument("cluster_subset index out of range");
+      }
+    }
   }
 
   // Two-phase baseline: structural matchers applied to *every* mapping
@@ -331,41 +450,17 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
     matching = &rescored;
   }
 
-  const std::vector<cluster::ClusterPoint>& points = state.points;
-  const cluster::ClusteringResult& clustering = state.clustering;
-  stats.time_clustering_seconds = state.time_clustering_seconds;
-  stats.kmeans = clustering.stats;
-  // With a cluster subset, run-level stats describe the subset's share of
-  // the work so per-shard stats sum to (roughly) the global run.
-  const size_t num_considered = cluster_subset != nullptr
-                                    ? cluster_subset->size()
-                                    : clustering.clusters.size();
-  stats.num_clusters = num_considered;
-  if (cluster_subset != nullptr) {
-    for (size_t ci : *cluster_subset) {
-      if (ci >= clustering.clusters.size()) {
-        return Status::InvalidArgument("cluster_subset index out of range");
-      }
-    }
-  }
-
   // --- Stage ④: per-cluster mapping generation. --------------------------
   Timer timer;
   obs::TraceContext* trace = control != nullptr ? control->trace : nullptr;
   std::optional<obs::ScopedSpan> generate_span;
   generate_span.emplace(trace, "generate");
-  const uint32_t full_mask = matching->FullMask();
-  double k_resolved = ResolveK(options.objective);
-  objective::BellflowerObjective objective(
-      options.objective.alpha, k_resolved,
-      static_cast<int>(personal.size()),
-      static_cast<int>(personal.num_edges()));
+  const objective::BellflowerObjective objective = Objective(personal, options);
   generate::GeneratorOptions gen_options = options.generator;
   gen_options.delta = options.delta;
+  const generate::MappingGenerator generator(personal, objective, gen_options);
 
-  // First pass: per-cluster candidate sets and summaries.
-  std::vector<generate::ClusterCandidates> all_candidates(
-      clustering.clusters.size());
+  // First pass: cluster summaries, O(m) per cluster from the profile.
   stats.cluster_summaries.reserve(num_considered);
   size_t useful_pairs = 0;
   std::vector<size_t> useful_order;
@@ -376,29 +471,47 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
 
   for (size_t pos = 0; pos < num_considered; ++pos) {
     const size_t ci = cluster_subset != nullptr ? (*cluster_subset)[pos] : pos;
-    // A stop during candidate building leaves later clusters out of
-    // useful_order / non_useful, so the generation loops skip them too.
+    // A stop here leaves later clusters out of useful_order / non_useful,
+    // so the generation loops skip them too.
     if (monitor.ShouldStop()) break;
     const cluster::Cluster& c = clustering.clusters[ci];
     ClusterSummary summary;
     summary.tree = c.tree;
     summary.num_points = c.members.size();
-    summary.useful = c.useful(full_mask);
-    for (int32_t m : c.members) {
-      summary.num_mapping_elements += static_cast<size_t>(
-          std::popcount(points[static_cast<size_t>(m)].personal_mask));
+    summary.useful = true;
+    double search_space = 1;  // ClusterCandidates::SearchSpaceSize's product
+    for (size_t n = 0; n < m; ++n) {
+      const uint32_t count = profile.counts[ci * m + n];
+      summary.num_mapping_elements += count;
+      summary.useful = summary.useful && count > 0;
+      search_space *= static_cast<double>(count);
     }
+    if (summary.useful) {
+      summary.search_space = search_space;
+      ++stats.num_useful_clusters;
+      useful_pairs += summary.num_mapping_elements;
+      stats.search_space += summary.search_space;
+      useful_order.push_back(ci);
+    } else {
+      non_useful.push_back(ci);
+    }
+    summary_index[ci] = stats.cluster_summaries.size();
+    stats.cluster_summaries.push_back(std::move(summary));
+  }
 
-    // Only useful clusters generate mappings; the others need candidate
-    // lists only as input to the partial-mapping generator.
+  // Candidate lists are built where they are first read, once per cluster:
+  // by the cluster's generation, by quality ordering (every useful cluster)
+  // and by the partial-mapping generator (non-useful clusters). A cluster
+  // skipped by bound never builds them.
+  std::vector<generate::ClusterCandidates> all_candidates(
+      clustering.clusters.size());
+  auto candidates_of = [&](size_t ci) -> const generate::ClusterCandidates& {
     generate::ClusterCandidates& cands = all_candidates[ci];
-    if (summary.useful || options.include_partial_mappings) {
-      cands = BuildClusterCandidates(c, points, *matching);
-    }
-
+    if (!cands.candidates.empty()) return cands;
+    cands = BuildClusterCandidates(clustering.clusters[ci], points, *matching);
     if (options.structural_matcher != nullptr &&
-        options.structural_within_clusters_only && summary.useful &&
-        cands.useful()) {
+        options.structural_within_clusters_only &&
+        stats.cluster_summaries[summary_index[ci]].useful) {
       // The paper's two-phase technique: the structural matcher group only
       // sees elements inside (useful) clusters.
       Timer structural_timer;
@@ -415,20 +528,8 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
       }
       stats.time_structural_seconds += structural_timer.ElapsedSeconds();
     }
-
-    if (summary.useful && cands.useful()) {
-      summary.search_space = cands.SearchSpaceSize();
-      ++stats.num_useful_clusters;
-      useful_pairs += summary.num_mapping_elements;
-      stats.search_space += summary.search_space;
-      useful_order.push_back(ci);
-    } else {
-      summary.useful = false;  // mask-useful but candidate-starved is rare
-      non_useful.push_back(ci);
-    }
-    summary_index[ci] = stats.cluster_summaries.size();
-    stats.cluster_summaries.push_back(std::move(summary));
-  }
+    return cands;
+  };
 
   // Cluster ordering (§7 future work): optimistic-Δ estimate per cluster.
   if (options.cluster_order == ClusterOrder::kQualityDescending &&
@@ -436,7 +537,8 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
     std::vector<schema::NodeId> order = personal.PreOrder();
     std::vector<double> quality(clustering.clusters.size(), 0.0);
     for (size_t ci : useful_order) {
-      const generate::ClusterCandidates& cands = all_candidates[ci];
+      if (monitor.ShouldStop()) break;
+      const generate::ClusterCandidates& cands = candidates_of(ci);
       double sim = 0;
       for (const auto& list : cands.candidates) {
         double mx = 0;
@@ -476,27 +578,30 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
                      });
   }
 
-  // Second pass: generate, tracking time-to-first-result. With adaptive
-  // top-N pruning the effective δ ratchets up to the N-th best Δ seen.
+  // Second pass: generate, tracking time-to-first-result. Under adaptive
+  // top-N a cluster whose admissible bound is strictly below the floor
+  // cannot place a mapping in the top N (ties at the floor still can), so
+  // it is skipped whole; its start/finish events still fire.
   bool first_seen = false;
   const size_t total_useful = useful_order.size();
   size_t sequence = 0;
+  std::vector<double> node_bound;
   for (size_t ci : useful_order) {
     if (monitor.ShouldStop()) break;
+    const ClusterSummary& summary = stats.cluster_summaries[summary_index[ci]];
     if (observer != nullptr) {
-      observer->OnClusterStart(sequence, total_useful,
-                               stats.cluster_summaries[summary_index[ci]]);
+      observer->OnClusterStart(sequence, total_useful, summary);
     }
-    generate::GeneratorOptions cluster_options = gen_options;
-    if (adaptive && running.full()) {
-      cluster_options.delta =
-          std::max(cluster_options.delta, running.floor_delta());
+    if (adaptive && running.full() &&
+        ClusterBound(profile, ci, options, generator, &node_bound) <
+            running.floor_delta()) {
+      ++stats.clusters_skipped_by_bound;
+    } else {
+      const generate::ClusterCandidates& cands = candidates_of(ci);
+      XSM_RETURN_NOT_OK(generator.Generate(cands, index_.tree(cands.tree),
+                                           &result.mappings,
+                                           &stats.generator, &monitor));
     }
-    generate::MappingGenerator generator(personal, objective,
-                                         cluster_options);
-    XSM_RETURN_NOT_OK(generator.Generate(
-        all_candidates[ci], index_.tree(all_candidates[ci].tree),
-        &result.mappings, &stats.generator, &monitor));
     if (!first_seen) {
       ++stats.clusters_until_first_mapping;
       if (!result.mappings.empty()) {
@@ -507,9 +612,7 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
     }
     if (observer != nullptr) {
       stats.num_mappings = result.mappings.size();  // incremental snapshot
-      observer->OnClusterFinish(sequence, total_useful,
-                                stats.cluster_summaries[summary_index[ci]],
-                                stats);
+      observer->OnClusterFinish(sequence, total_useful, summary, stats);
     }
     ++sequence;
   }
@@ -523,9 +626,10 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
                                                         options.partial);
     for (size_t ci : non_useful) {
       if (monitor.ShouldStop()) break;
+      const generate::ClusterCandidates& cands = candidates_of(ci);
       XSM_RETURN_NOT_OK(partial_generator.Generate(
-          all_candidates[ci], index_.tree(all_candidates[ci].tree),
-          &result.partial_mappings, &stats.partial_generator, &monitor));
+          cands, index_.tree(cands.tree), &result.partial_mappings,
+          &stats.partial_generator, &monitor));
     }
     std::sort(result.partial_mappings.begin(),
               result.partial_mappings.end(),

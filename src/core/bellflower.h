@@ -65,10 +65,13 @@ struct MatchOptions {
   size_t top_n = 0;
 
   /// With top_n > 0 and the B&B generator: once N mappings are known, the
-  /// effective δ rises to the N-th best Δ found so far, so later clusters
-  /// prune everything that cannot enter the top N (Def. 3's "top-N
-  /// mappings" delivery mode). The returned top N is identical to the
-  /// non-adaptive run; only the work shrinks.
+  /// effective δ rises to the N-th best Δ found so far (Def. 3's "top-N
+  /// mappings" delivery mode). The floor rises live, inside a cluster's
+  /// search as well as between clusters, and a whole cluster whose
+  /// admissible bound (Bellflower::ClusterDeltaBound) is below it is
+  /// skipped without building its candidate lists. The returned top N, its
+  /// Δs and the streamed mappings are identical to the non-adaptive run;
+  /// only the work counters (stats.generator, num_mappings) shrink.
   bool adaptive_top_n = true;
 
   /// Cluster processing order (affects time-to-first-mapping, not the
@@ -128,7 +131,13 @@ struct MatchStats {
 
   // Generation stage.
   generate::GeneratorCounters generator;  ///< Tab. 1b counters
-  size_t num_mappings = 0;                ///< mappings with Δ ≥ δ
+  /// Mappings the run materialized (before top-N truncation): every one
+  /// with Δ ≥ δ, or under adaptive top-N only those that cleared the
+  /// running floor when found — a work counter there, not a result count.
+  size_t num_mappings = 0;
+  /// Useful clusters adaptive top-N skipped whole: their admissible Δ bound
+  /// was below the N-th best Δ already found. Always 0 without it.
+  size_t clusters_skipped_by_bound = 0;
   double time_generation_seconds = 0;
 
   // Time-to-first-result accounting (for ClusterOrder comparisons): work
@@ -183,6 +192,22 @@ struct ClusterStateOptions {
   }
 };
 
+/// Per-cluster profile of a ClusterState, recorded once when the state is
+/// built: for cluster c and personal node n, |ME_n ∩ c| and the best element
+/// score in it. Generation summarizes and bounds every cluster from it in
+/// O(m) without building the cluster's candidate lists.
+struct ClusterProfile {
+  size_t num_personal_nodes = 0;   ///< m
+  std::vector<uint32_t> counts;    ///< [c·m + n] = |ME_n ∩ c|
+  std::vector<double> max_scores;  ///< [c·m + n]; 0 where the count is 0
+
+  /// True iff it profiles exactly `num_clusters` clusters of m nodes.
+  bool Fits(size_t num_clusters, size_t m) const {
+    return num_personal_nodes == m && counts.size() == num_clusters * m &&
+           max_scores.size() == counts.size();
+  }
+};
+
 /// Immutable output of the matching+clustering stages for one personal
 /// schema. Build once with Bellflower::BuildClusterState, then run any
 /// number of (concurrent) MatchWithState calls against it — the state is
@@ -195,6 +220,9 @@ struct ClusterState {
   /// matching.distinct_nodes / matching.masks).
   std::vector<cluster::ClusterPoint> points;
   cluster::ClusteringResult clustering;
+  /// Profile of `clustering` over `matching` (Bellflower::ClusterFromMatching
+  /// records it); MatchWithState refuses a state whose profile does not fit.
+  ClusterProfile profile;
 
   double time_matching_seconds = 0;
   double time_clustering_seconds = 0;
@@ -303,7 +331,24 @@ class Bellflower {
       MatchObserver* observer = nullptr,
       const std::vector<size_t>* cluster_subset = nullptr) const;
 
+  /// Admissible upper bound of Δ over every mapping generation can build in
+  /// cluster `cluster_index` of `state` under `options`, structural
+  /// rescoring included: each node at its profiled best score (under
+  /// rescoring with weight w ∈ [0,1], (1 − w)·best + w, as structural
+  /// scores are in [0,1]) and every edge on a length-1 path. No mapping's
+  /// Δ exceeds it, compared as raw doubles. +∞ for a structural weight
+  /// outside [0,1]. Adaptive top-N skips a cluster whose bound is strictly
+  /// below its floor.
+  Result<double> ClusterDeltaBound(const schema::SchemaTree& personal,
+                                   const ClusterState& state,
+                                   size_t cluster_index,
+                                   const MatchOptions& options) const;
+
  private:
+  /// Δ evaluator for `personal` under `options` (K resolved).
+  objective::BellflowerObjective Objective(const schema::SchemaTree& personal,
+                                           const MatchOptions& options) const;
+
   /// Shared generation path; `control` == nullptr means unlimited (the
   /// monitor never stops) with zero per-expansion overhead beyond two
   /// branches.

@@ -13,10 +13,12 @@
 #ifndef XSM_CORE_EXECUTION_CONTROL_H_
 #define XSM_CORE_EXECUTION_CONTROL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -118,6 +120,16 @@ class ExecutionMonitor {
   bool stopped() const { return status_ != ExecutionStatus::kCompleted; }
   uint64_t emitted() const { return emitted_; }
 
+  /// Adaptive top-N floor: with MatchOptions::adaptive_top_n, the N-th best
+  /// Δ the run has emitted so far (−∞ until N mappings are known). The
+  /// branch-and-bound generator reads it at every bound check and emission
+  /// test as max(δ, floor), so a cluster's search tightens the moment a
+  /// better mapping enters the running top N. Only ever rises.
+  double delta_floor() const { return delta_floor_; }
+  void RaiseDeltaFloor(double floor) {
+    delta_floor_ = std::max(delta_floor_, floor);
+  }
+
   /// Fired by RecordEmitted / RecordPartialEmitted; the new mapping is the
   /// last element of the run's output vector. Wired to MatchObserver by
   /// Bellflower; empty by default.
@@ -134,6 +146,7 @@ class ExecutionMonitor {
   ExecutionStatus status_ = ExecutionStatus::kCompleted;
   uint64_t emitted_ = 0;
   uint32_t until_clock_check_ = 0;
+  double delta_floor_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace xsm::core

@@ -60,8 +60,8 @@ class MatchObserver {
   /// improvement rather than every one that clears δ. Every mapping of the
   /// final top N is among them: its rank among the mappings found so far
   /// can never exceed its rank in the final list. MatchStats::num_mappings
-  /// still counts every mapping with Δ ≥ δ, so it can exceed the number of
-  /// OnMapping calls.
+  /// counts what the run materialized (under adaptive top-N, what cleared
+  /// the live floor), so it can exceed the number of OnMapping calls.
   virtual void OnMapping(const generate::SchemaMapping& mapping,
                          size_t running_rank) {
     (void)mapping;

@@ -96,6 +96,29 @@ struct MappingGenerator::SearchContext {
     if (monitor != nullptr) monitor->RecordEmitted();
   }
 
+  // Emission threshold: δ raised to the run's live adaptive top-N floor. A
+  // mapping tying the floor is emitted; the running top N breaks the tie.
+  double EmitThreshold() const {
+    const double delta = gen->options_.delta;
+    return monitor != nullptr ? std::max(delta, monitor->delta_floor())
+                              : delta;
+  }
+
+  // Pruning threshold. The inner bound sums its optimistic tail in another
+  // order than the Δ of a completion, so it may round an ulp below a
+  // mapping that ties the floor; kFloorSlack keeps such ties. δ itself is
+  // compared exactly, as without a floor.
+  double PruneThreshold() const {
+    const double delta = gen->options_.delta;
+    return monitor != nullptr
+               ? std::max(delta, monitor->delta_floor() - kFloorSlack)
+               : delta;
+  }
+
+  // Far above the rounding gap of two summation orders of ≤ 32 scores in
+  // [0,1], far below any Δ difference the objective resolves.
+  static constexpr double kFloorSlack = 1e-9;
+
   const MappingGenerator* gen = nullptr;
   core::ExecutionMonitor* monitor = nullptr;
 };
@@ -154,6 +177,14 @@ Status MappingGenerator::Generate(const ClusterCandidates& cands,
   return Status::OK();
 }
 
+double MappingGenerator::DeltaBound(
+    const std::vector<double>& max_score) const {
+  // The same left fold as Dfs's sim_sums, starting from 0.0.
+  double sim_sum = 0.0;
+  for (NodeId n : order_) sim_sum = sim_sum + max_score[static_cast<size_t>(n)];
+  return objective_.Delta(sim_sum, static_cast<int64_t>(order_.size()) - 1);
+}
+
 void MappingGenerator::Dfs(SearchContext* ctx, size_t position,
                            int64_t pending_sum) const {
   // `pending_sum` = sum of current lower bounds of the edges closing at
@@ -194,7 +225,7 @@ void MappingGenerator::Dfs(SearchContext* ctx, size_t position,
     if (position + 1 == m) {
       ctx->counters->complete_mappings++;
       double delta = objective_.Delta(sim_sum, path_sum);
-      if (delta >= options_.delta) {
+      if (delta >= ctx->EmitThreshold()) {
         SchemaMapping mapping;
         mapping.tree = ctx->cands->tree;
         mapping.images.resize(m);
@@ -240,7 +271,7 @@ void MappingGenerator::Dfs(SearchContext* ctx, size_t position,
       double ub = objective_.UpperBound(
           sim_sum, ctx->optimistic_tail[position + 1],
           path_sum + new_pending, static_cast<int>(m) - 1);
-      if (ub < options_.delta) {
+      if (ub < ctx->PruneThreshold()) {
         ctx->counters->pruned_by_bound++;
         if (forward) {
           for (size_t q : children_positions_[position]) ctx->lb[q] = 1;

@@ -108,11 +108,21 @@ class MappingGenerator {
   /// reports a stop (cancellation, deadline, early-exit budget) the search
   /// returns immediately with the mappings emitted so far; each emitted
   /// mapping is recorded through it right after being appended to `out`.
+  /// The branch-and-bound search also reads its live adaptive top-N floor
+  /// (ExecutionMonitor::delta_floor) in place of a fixed δ.
   Status Generate(const ClusterCandidates& cands,
                   const label::TreeIndex& tree_index,
                   std::vector<SchemaMapping>* out,
                   GeneratorCounters* counters,
                   core::ExecutionMonitor* monitor = nullptr) const;
+
+  /// Admissible Δ bound of every mapping whose node n scores at most
+  /// `max_score[n]` (indexed by personal NodeId): Δ with each node at its
+  /// bound and every personal edge on a length-1 path. The bounds are summed
+  /// in the search's own pre-order with its own operations, and rounding is
+  /// monotone, so no Δ the search computes exceeds the result — not even by
+  /// an ulp.
+  double DeltaBound(const std::vector<double>& max_score) const;
 
   const GeneratorOptions& options() const { return options_; }
 

@@ -579,11 +579,13 @@ void ServeSession::EmitDoneEvent(const std::string& id,
   }
   const core::MatchStats& stats = result->stats;
   char nums[256];
-  // "mappings" counts everything with Δ ≥ δ found by the run — it matches
-  // the `match` command's count; "kept" is the returned list after top-N
-  // trimming. With top > 0 only mappings whose running rank was ≤ top when
-  // found were streamed, so "mappings" can exceed the number of mapping
-  // event lines (with top=0 they are equal).
+  // "mappings" counts what the run materialized (stats.num_mappings, the
+  // `match` command's count): with top=0 everything with Δ ≥ δ, with
+  // top > 0 only what cleared the adaptive top-N floor when found. "kept" is
+  // the returned list after top-N trimming. With top > 0 only mappings
+  // whose running rank was ≤ top when found were streamed, so "mappings"
+  // can exceed the number of mapping event lines (with top=0 they are
+  // equal).
   std::snprintf(
       nums, sizeof(nums),
       "\",\"mappings\":%zu,\"kept\":%zu,\"partial_mappings\":%zu,"

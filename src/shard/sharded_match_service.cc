@@ -866,6 +866,7 @@ Result<core::MatchResult> ShardedMatchService::MatchOnPin(
   merged.stats.partials_until_first_mapping = 0;
   merged.stats.clusters_until_first_mapping = 0;
   merged.stats.num_mappings = 0;
+  merged.stats.clusters_skipped_by_bound = 0;
   merged.stats.cluster_summaries.clear();
   double useful_pairs = 0;
   for (auto& run : shard_results) {
@@ -887,6 +888,8 @@ Result<core::MatchResult> ShardedMatchService::MatchOnPin(
     // each shard's δ ratchet sees only its own clusters — which is pure
     // work accounting: the merged top N is unchanged.
     merged.stats.num_mappings += r.stats.num_mappings;
+    merged.stats.clusters_skipped_by_bound +=
+        r.stats.clusters_skipped_by_bound;
     useful_pairs += r.stats.avg_elements_per_useful_cluster *
                     static_cast<double>(r.stats.num_useful_clusters);
     merged.stats.generator += r.stats.generator;
