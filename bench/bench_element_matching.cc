@@ -2,7 +2,7 @@
 // (MatchElementsReference) versus the candidate-pruned dictionary engine,
 // serial and sharded across a thread pool, on synthetic corpora of
 // increasing size. The dictionary is built once per corpus outside the
-// timed region — the warm, snapshot-resident configuration MatchService
+// timed region — the warm, snapshot-resident configuration service::Matcher
 // runs — and every engine's output is checked bit-identical to the seed
 // before anything is timed.
 //

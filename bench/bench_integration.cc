@@ -40,7 +40,7 @@
 #include "integrate/integration_io.h"
 #include "schema/schema_forest.h"
 #include "schema/schema_tree.h"
-#include "service/match_service.h"
+#include "service/matcher.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -106,12 +106,12 @@ schema::SchemaForest BuildCorpus(uint64_t seed, size_t num_trees) {
   return forest;
 }
 
-std::unique_ptr<service::MatchService> ServiceOver(
+std::unique_ptr<service::Matcher> ServiceOver(
     const schema::SchemaForest& forest, size_t num_threads) {
   service::MatchServiceOptions options;
   options.num_threads = num_threads;
   options.cluster_cache_capacity = 4096;
-  auto service = service::MatchService::Create(forest, options);
+  auto service = service::Matcher::Create(forest, options);
   if (!service.ok()) {
     std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
     std::exit(1);
@@ -119,7 +119,7 @@ std::unique_ptr<service::MatchService> ServiceOver(
   return std::move(*service);
 }
 
-integrate::IntegrationResult Integrate(service::MatchService* service) {
+integrate::IntegrationResult Integrate(service::Matcher* service) {
   integrate::IntegrationEngine engine(service);
   auto result = engine.Integrate(integrate::IntegrationOptions());
   if (!result.ok()) {

@@ -12,7 +12,7 @@
 //   - the copy-on-write guarantee: untouched trees must not be rebuilt
 //     (trees_rebuilt == adds + replaces, exactly), enforced as a hard gate
 //   - fingerprint equality between the incremental and scratch snapshots
-// and, for the smallest delta, warm-query throughput through MatchService
+// and, for the smallest delta, warm-query throughput through service::Matcher
 // before the delta, on the first (cold-namespace) pass after it, and once
 // the new generation's cache is warm again.
 //
@@ -37,7 +37,7 @@
 #include "repo/synthetic.h"
 #include "schema/schema_forest.h"
 #include "schema/schema_tree.h"
-#include "service/match_service.h"
+#include "service/matcher.h"
 #include "service/repository_snapshot.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -254,14 +254,14 @@ int main(int argc, char** argv) {
   // Warm-query throughput across a small (<= 10%) delta.
   WarmQueryReport warm;
   {
-    auto service = service::MatchService::Create(*base);
+    auto service = service::Matcher::Create(*base);
     if (!service.ok()) {
       std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
       return 1;
     }
-    std::vector<service::MatchQuery> queries;
+    std::vector<service::MatchRequest> queries;
     for (size_t s = 0; s < kNumSpecs; ++s) {
-      service::MatchQuery query;
+      service::MatchRequest query;
       query.id = "warm-" + std::to_string(s);
       query.personal = *schema::ParseTreeSpec(kSpecs[s]);
       query.options.delta = 0.7;
@@ -270,8 +270,8 @@ int main(int argc, char** argv) {
     }
     auto run_pass = [&]() {
       Timer timer;
-      for (const service::MatchQuery& query : queries) {
-        auto result = (*service)->Match(query);
+      for (const service::MatchRequest& query : queries) {
+        auto result = (*service)->RunOn((*service)->Pin(), query, {});
         if (!result.ok()) {
           std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
           std::exit(1);
@@ -284,7 +284,7 @@ int main(int argc, char** argv) {
     warm.before_qps = static_cast<double>(queries.size()) / before;
 
     Rng rng(bench::kExperimentSeed * 131);
-    auto delta = ComposeDelta((*service)->CurrentSnapshot()->forest(),
+    auto delta = ComposeDelta((*service)->Pin()->forest(),
                               *donors, 0.10, &rng);
     if (!delta.ok() || !(*service)->ApplyDelta(*delta).ok()) {
       std::fprintf(stderr, "warm-query delta failed\n");

@@ -49,7 +49,7 @@
 #include "schema/schema_forest.h"
 #include "schema/schema_tree.h"
 #include "schema/serialization.h"
-#include "service/match_service.h"
+#include "service/matcher.h"
 #include "service/repository_snapshot.h"
 #include "store/snapshot_store.h"
 #include "util/io.h"
@@ -109,13 +109,13 @@ live::RepositoryDelta MakeDelta(size_t i, schema::TreeId base_trees) {
 std::vector<std::pair<schema::TreeId, double>> QueryDigest(
     const std::shared_ptr<const service::RepositorySnapshot>& snapshot,
     const char* spec) {
-  service::MatchService service(snapshot);
-  service::MatchQuery query;
+  service::Matcher service(snapshot);
+  service::MatchRequest query;
   query.id = std::string("recovery-") + spec;
   query.personal = *schema::ParseTreeSpec(spec);
   query.options.delta = 0.6;
   query.options.top_n = 10;
-  auto result = service.Match(query);
+  auto result = service.RunOn(service.Pin(), query, {});
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     std::exit(1);

@@ -1,4 +1,4 @@
-// Service throughput harness: queries/sec of service::MatchService over a
+// Service throughput harness: queries/sec of service::Matcher over a
 // synthetic repository, at 1/4/8 worker threads, with a cold cluster cache
 // (every query pays element matching + clustering) versus a warm one (the
 // cluster state is served from the ClusterIndexCache).
@@ -16,7 +16,7 @@
 
 #include "experiment_common.h"
 #include "repo/synthetic.h"
-#include "service/match_service.h"
+#include "service/matcher.h"
 #include "util/timer.h"
 
 namespace xsm {
@@ -35,11 +35,11 @@ const char* kSpecs[] = {
 constexpr size_t kNumSpecs = sizeof(kSpecs) / sizeof(kSpecs[0]);
 constexpr size_t kCopies = 3;  // each spec appears this many times per batch
 
-std::vector<service::MatchQuery> MakeQueries() {
-  std::vector<service::MatchQuery> queries;
+std::vector<service::MatchRequest> MakeQueries() {
+  std::vector<service::MatchRequest> queries;
   for (size_t copy = 0; copy < kCopies; ++copy) {
     for (size_t s = 0; s < kNumSpecs; ++s) {
-      service::MatchQuery query;
+      service::MatchRequest query;
       query.id = "q" + std::to_string(copy) + "-" + std::to_string(s);
       query.personal = *schema::ParseTreeSpec(kSpecs[s]);
       query.options.delta = 0.7;
@@ -51,12 +51,12 @@ std::vector<service::MatchQuery> MakeQueries() {
 }
 
 /// Runs `repeat` batches and returns queries/sec over all of them.
-double MeasureBatches(service::MatchService* service,
-                      const std::vector<service::MatchQuery>& queries,
+double MeasureBatches(service::Matcher* service,
+                      const std::vector<service::MatchRequest>& queries,
                       int repeat) {
   Timer timer;
   for (int r = 0; r < repeat; ++r) {
-    auto results = service->MatchBatch(queries).results;
+    auto results = service->RunBatch(queries).results;
     for (const auto& result : results) {
       if (!result.ok()) {
         std::fprintf(stderr, "query failed: %s\n",
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<service::MatchQuery> queries = MakeQueries();
+  std::vector<service::MatchRequest> queries = MakeQueries();
   std::printf(
       "service throughput: %zu elements / %zu trees, %zu queries per batch "
       "(%zu distinct personal schemas), repeat=%d\n\n",
@@ -112,13 +112,13 @@ int main(int argc, char** argv) {
     service::MatchServiceOptions cold_options;
     cold_options.num_threads = threads;
     cold_options.cluster_cache_capacity = 0;
-    service::MatchService cold_service(*snapshot, cold_options);
+    service::Matcher cold_service(*snapshot, cold_options);
     double cold_qps = MeasureBatches(&cold_service, queries, repeat);
 
     // Warm: one priming batch fills the cache, then measure.
     service::MatchServiceOptions warm_options;
     warm_options.num_threads = threads;
-    service::MatchService warm_service(*snapshot, warm_options);
+    service::Matcher warm_service(*snapshot, warm_options);
     MeasureBatches(&warm_service, queries, 1);
     double warm_qps = MeasureBatches(&warm_service, queries, repeat);
 

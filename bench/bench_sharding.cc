@@ -1,6 +1,5 @@
-// Scatter-gather sharding harness: exactness and scaling of the
-// ShardedMatchService against the single-snapshot MatchService on the same
-// content.
+// Scatter-gather sharding harness: exactness and scaling of a K-shard
+// service::Matcher against the K = 1 Matcher on the same content.
 //
 // Hard gate (every mode): `sharded_identical` — for every shard count the
 // sharded backend's results (mapping tree / Δ / images, in rank order) and
@@ -36,8 +35,7 @@
 #include "experiment_common.h"
 #include "repo/synthetic.h"
 #include "schema/schema_tree.h"
-#include "service/match_service.h"
-#include "shard/sharded_match_service.h"
+#include "service/matcher.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -57,10 +55,10 @@ const char* kSpecs[] = {
 constexpr size_t kNumSpecs = sizeof(kSpecs) / sizeof(kSpecs[0]);
 constexpr size_t kShardCounts[] = {2, 4, 8};
 
-std::vector<service::MatchQuery> MakeQueries() {
-  std::vector<service::MatchQuery> queries;
+std::vector<service::MatchRequest> MakeQueries() {
+  std::vector<service::MatchRequest> queries;
   for (size_t s = 0; s < kNumSpecs; ++s) {
-    service::MatchQuery query;
+    service::MatchRequest query;
     query.id = "q" + std::to_string(s);
     query.personal = *schema::ParseTreeSpec(kSpecs[s]);
     query.options.delta = 0.7;
@@ -82,9 +80,9 @@ struct Digest {
 };
 
 Digest DigestOf(service::Matcher* matcher,
-                const std::vector<service::MatchQuery>& queries) {
+                const std::vector<service::MatchRequest>& queries) {
   Digest digest;
-  for (const service::MatchQuery& query : queries) {
+  for (const service::MatchRequest& query : queries) {
     auto outcome = matcher->Run(query);
     if (!outcome.ok()) {
       std::fprintf(stderr, "query %s failed: %s\n", query.id.c_str(),
@@ -103,11 +101,11 @@ Digest DigestOf(service::Matcher* matcher,
 
 /// Warm-path queries/sec: sequential single-query runs over the set.
 double MeasureQueries(service::Matcher* matcher,
-                      const std::vector<service::MatchQuery>& queries,
+                      const std::vector<service::MatchRequest>& queries,
                       int repeat) {
   Timer timer;
   for (int r = 0; r < repeat; ++r) {
-    for (const service::MatchQuery& query : queries) {
+    for (const service::MatchRequest& query : queries) {
       auto outcome = matcher->Run(query);
       if (!outcome.ok()) {
         std::fprintf(stderr, "query failed: %s\n",
@@ -166,7 +164,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const double unsharded_publish_seconds = unsharded_publish.ElapsedSeconds();
-  service::MatchService unsharded(*snapshot, options);
+  service::Matcher unsharded(*snapshot, options);
 
   std::printf(
       "sharded scatter-gather: %zu elements / %zu trees, %zu queries, "
@@ -175,14 +173,13 @@ int main(int argc, char** argv) {
       threads, repeat, rounds);
 
   // Sharded backends, publish timed per K.
-  std::vector<std::unique_ptr<shard::ShardedMatchService>> backends;
+  std::vector<std::unique_ptr<service::Matcher>> backends;
   std::vector<double> publish_seconds;
   for (size_t k : kShardCounts) {
-    shard::ShardedOptions shard_options;
-    shard_options.num_shards = k;
+    service::MatchServiceOptions sharded_options = options;
+    sharded_options.shards = k;
     Timer publish;
-    auto sharded = shard::ShardedMatchService::Create(*forest, options,
-                                                      shard_options);
+    auto sharded = service::Matcher::Create(*forest, sharded_options);
     if (!sharded.ok()) {
       std::fprintf(stderr, "K=%zu: %s\n", k,
                    sharded.status().ToString().c_str());
@@ -193,7 +190,7 @@ int main(int argc, char** argv) {
   }
 
   // Identity gate + cluster-state warm-up in one pass.
-  std::vector<service::MatchQuery> queries = MakeQueries();
+  std::vector<service::MatchRequest> queries = MakeQueries();
   const Digest want = DigestOf(&unsharded, queries);
   bool sharded_identical = true;
   for (size_t i = 0; i < backends.size(); ++i) {

@@ -1,7 +1,7 @@
 // Live reload: serve queries while the repository evolves underneath them.
 //
 // Demonstrates the xsm::live subsystem end to end:
-//   1. a MatchService over an initial repository (generation 0),
+//   1. a Matcher over an initial repository (generation 0),
 //   2. queries answered — and their cluster states cached — per generation,
 //   3. a RepositoryDelta ingesting a schema batch copy-on-write (untouched
 //      trees keep their index/dictionary state; watch trees_reused),
@@ -20,36 +20,36 @@ using namespace xsm;
 
 namespace {
 
-void PrintTop(service::MatchService* service, const std::string& id) {
-  // Hold the snapshot while formatting: a concurrent delta may retire the
-  // generation the result's node refs point into.
-  auto snapshot = service->CurrentSnapshot();
-  service::MatchQuery query;
+void PrintTop(service::Matcher* service, const std::string& id) {
+  // Run against one pin and hold it while formatting: a concurrent delta
+  // may retire the generation the result's node refs point into.
+  service::RepositoryPinPtr pin = service->Pin();
+  service::MatchRequest query;
   query.id = id;
   query.personal = *schema::ParseTreeSpec("name(address,email)");
   query.options.delta = 0.3;
   query.options.top_n = 3;
   query.options.clustering = core::ClusteringMode::kTreeClusters;
 
-  auto result = service->Match(query);
+  auto result = service->RunOn(pin, query, {});
   if (!result.ok()) {
     std::fprintf(stderr, "match failed: %s\n",
                  result.status().ToString().c_str());
     return;
   }
   std::printf("[gen %llu] query %s: %zu mappings\n",
-              static_cast<unsigned long long>(snapshot->generation()),
+              static_cast<unsigned long long>(pin->generation()),
               id.c_str(), result->mappings.size());
   int rank = 1;
   for (const auto& mapping : result->mappings) {
     std::printf("  %d. %s\n", rank++,
                 generate::MappingToString(mapping, query.personal,
-                                          snapshot->forest())
+                                          pin->forest())
                     .c_str());
   }
 }
 
-void PrintCache(service::MatchService* service, const char* when) {
+void PrintCache(service::Matcher* service, const char* when) {
   service::ServiceStats stats = service->stats();
   std::printf(
       "cache %s: %llu hits, %llu misses, %zu states resident in %zu "
@@ -71,7 +71,7 @@ int main() {
       *schema::ParseTreeSpec("lib(book(title,authorName),address)"),
       "library.xsd");
 
-  auto service = service::MatchService::Create(std::move(repository));
+  auto service = service::Matcher::Create(std::move(repository));
   if (!service.ok()) {
     std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
     return 1;
@@ -120,7 +120,7 @@ int main() {
   // Undo the ingest: removing the added trees and restoring the replaced
   // tree brings back generation 0's *content* — and with it, by
   // fingerprint, generation 0's still-warm cache (no recompute).
-  auto current = (*service)->CurrentSnapshot();
+  auto current = (*service)->Pin();
   live::DeltaBuilder undo;
   undo.ReplaceTree(
       0, *schema::ParseTreeSpec("person(fullName,contact(addr,mail))"),

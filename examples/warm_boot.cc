@@ -1,7 +1,7 @@
 // Warm boot: persist the amortized preprocessing investment across process
 // restarts.
 //
-// Demonstrates the xsm::store subsystem around MatchService:
+// Demonstrates the xsm::store subsystem around service::Matcher:
 //   1. "first boot": build a service from raw repository content (the
 //      expensive path — parse, TreeIndex labeling, NameDictionary folds,
 //      fingerprints), serve a query,
@@ -24,14 +24,14 @@ using namespace xsm;
 
 namespace {
 
-int Run(service::MatchService* service, const char* label) {
-  auto snapshot = service->CurrentSnapshot();
-  service::MatchQuery query;
+int Run(service::Matcher* service, const char* label) {
+  service::RepositoryPinPtr pin = service->Pin();
+  service::MatchRequest query;
   query.id = "boot-probe";
   query.personal = *schema::ParseTreeSpec("name(address,email)");
   query.options.delta = 0.5;
   query.options.top_n = 3;
-  auto result = service->Match(query);
+  auto result = service->RunOn(pin, query, {});
   if (!result.ok()) {
     std::fprintf(stderr, "match failed: %s\n",
                  result.status().ToString().c_str());
@@ -40,8 +40,8 @@ int Run(service::MatchService* service, const char* label) {
   std::printf("[%s] generation %llu, %zu trees, %zu elements -> %zu "
               "mappings\n",
               label,
-              static_cast<unsigned long long>(snapshot->generation()),
-              snapshot->num_trees(), snapshot->total_nodes(),
+              static_cast<unsigned long long>(pin->generation()),
+              pin->num_trees(), pin->total_nodes(),
               result->mappings.size());
   return static_cast<int>(result->mappings.size());
 }
@@ -61,7 +61,7 @@ int main() {
     return 1;
   }
   Timer cold_timer;
-  auto cold = service::MatchService::Create(std::move(*forest));
+  auto cold = service::Matcher::Create(std::move(*forest));
   double cold_seconds = cold_timer.ElapsedSeconds();
   if (!cold.ok()) {
     std::fprintf(stderr, "%s\n", cold.status().ToString().c_str());
@@ -83,7 +83,7 @@ int main() {
 
   // --- Second boot: load, don't rebuild. ------------------------------------
   Timer warm_timer;
-  auto warm = service::MatchService::WarmStart(path);
+  auto warm = service::Matcher::WarmStart(path);
   double warm_seconds = warm_timer.ElapsedSeconds();
   if (!warm.ok()) {
     std::fprintf(stderr, "%s\n", warm.status().ToString().c_str());
@@ -119,7 +119,7 @@ int main() {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  auto damaged = service::MatchService::WarmStart(path);
+  auto damaged = service::Matcher::WarmStart(path);
   std::printf("corrupted file refused: %s\n",
               damaged.ok() ? "NOT REFUSED (bug!)"
                            : damaged.status().ToString().c_str());

@@ -276,8 +276,8 @@ class Bellflower {
   /// Status-OK, not an error. Control is honored before
   /// preprocessing, during its element-matching stage (per dictionary
   /// entry), and throughout generation at cluster and node-expansion
-  /// granularity. (service::MatchService builds its *cached* states without
-  /// control on purpose, so cancellation never poisons the cache.)
+  /// granularity. (service::Matcher builds its *cached* states without
+  /// cancellation on purpose, so cancellation never poisons the cache.)
   Result<MatchResult> Match(const schema::SchemaTree& personal,
                             const MatchOptions& options,
                             const ExecutionControl& control,
@@ -296,10 +296,10 @@ class Bellflower {
   /// Clustering-only half of BuildClusterState: takes a completed
   /// element-matching result (whose NodeRefs must be in *this* repository's
   /// tree-id space) and runs point extraction + clustering on it. This is
-  /// the seam the sharded backend uses — it scatters MatchElements across
-  /// shard repositories, merges the per-shard results into the global
-  /// tree-id space, and clusters the merged result here so the clustering
-  /// stage sees exactly what the unsharded pipeline would have seen.
+  /// the seam a K > 1 service::Matcher uses — it scatters MatchElements
+  /// across shard repositories, merges the per-shard results into the
+  /// global tree-id space, and clusters the merged result here so the
+  /// clustering stage sees exactly what the K = 1 pipeline would see.
   /// `matching_seconds` seeds ClusterState::time_matching_seconds.
   Result<ClusterState> ClusterFromMatching(
       const schema::SchemaTree& personal,
@@ -319,9 +319,9 @@ class Bellflower {
   /// Anytime variant of MatchWithState; see the streaming Match overload
   /// for `control` / `observer` semantics. `cluster_subset` (may be null =
   /// all clusters) restricts generation to the given indexes into
-  /// state.clustering.clusters — the sharded backend partitions the global
-  /// cluster list by owning shard and runs one restricted call per shard
-  /// against the *shared* state. The union of disjoint subset runs emits
+  /// state.clustering.clusters — a K > 1 service::Matcher partitions the
+  /// global cluster list by owning shard and runs one restricted call per
+  /// shard against the *shared* state. The union of disjoint subset runs emits
   /// exactly the mappings of one unrestricted run (each cluster's generator
   /// call sees identical candidates either way); only run-level stats and
   /// the adaptive-δ work savings differ.

@@ -115,10 +115,11 @@ class ForestIndex {
       IncrementalStats* stats = nullptr);
 
   /// Assembles a forest index from already-built per-tree indexes (in
-  /// TreeId order) without labeling anything. The sharded backend uses this
-  /// to federate K shard indexes into one global-view index: the per-tree
-  /// structures are shared, so the assembly is O(num_trees) pointer copies
-  /// and the result is equivalent to Build over the concatenated forest.
+  /// TreeId order) without labeling anything. A K > 1 service::Matcher
+  /// uses this to federate K shard indexes into one global-view index: the
+  /// per-tree structures are shared, so the assembly is O(num_trees)
+  /// pointer copies and the result is equivalent to Build over the
+  /// concatenated forest.
   static ForestIndex FromParts(
       std::vector<std::shared_ptr<const TreeIndex>> parts);
 

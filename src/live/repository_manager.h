@@ -50,7 +50,7 @@ struct ApplyReport {
 };
 
 /// Registry counter handles the manager bumps on durability events; any
-/// member may be null (not collected). The owner (MatchService) registers
+/// member may be null (not collected). The owner (service::Matcher) registers
 /// the series and hands the handles down via SetMetrics, so WAL and
 /// checkpoint activity shows up on the same scrape surface as queries.
 struct ManagerMetrics {
@@ -85,7 +85,7 @@ class RepositoryManager {
       const std::string& path);
 
   /// Adopts an existing snapshot (whatever its generation) as the current
-  /// one — the path service::MatchService uses when constructed from a
+  /// one — the path service::Matcher uses when constructed from a
   /// snapshot it already has.
   explicit RepositoryManager(
       std::shared_ptr<const service::RepositorySnapshot> initial);

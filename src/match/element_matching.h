@@ -74,7 +74,7 @@ struct ElementMatchingOptions {
   const NameDictionary* dictionary = nullptr;
   /// Scores dictionary shards on this pool; nullptr runs them serially on
   /// the calling thread. Use a pool whose workers never wait on element
-  /// matching themselves (service::MatchService keeps a dedicated one).
+  /// matching themselves (service::Matcher keeps a dedicated one).
   ThreadPool* pool = nullptr;
   /// Number of dictionary shards scored independently; 0 = four per pool
   /// thread (clamped to the dictionary size). More shards smooth load

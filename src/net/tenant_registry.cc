@@ -6,31 +6,9 @@
 #include <filesystem>
 #include <utility>
 
-#include "shard/sharded_match_service.h"
-
 namespace xsm::net {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-// A sharded tenant's snapshot is a shard manifest, not a store snapshot;
-// warm starts sniff this prefix so the boot path follows the on-disk
-// format rather than the registry's current `shards` setting.
-bool LooksLikeShardManifest(util::io::Env* env, const std::string& path) {
-  auto contents = env->ReadFileToString(path);
-  if (!contents.ok()) return false;
-  constexpr std::string_view kMagic = "xsm-shard-manifest";
-  return contents.value().compare(0, kMagic.size(), kMagic) == 0;
-}
-
-shard::ShardedOptions ShardOptionsFor(size_t shards) {
-  shard::ShardedOptions shard_options;
-  shard_options.num_shards = shards;
-  return shard_options;
-}
-
-}  // namespace
 
 bool TenantRegistry::ValidTenantName(std::string_view name) {
   if (name.empty() || name.size() > 64 || name.front() == '.') return false;
@@ -122,19 +100,9 @@ Result<Tenant*> TenantRegistry::Create(const std::string& name,
     return Status::FailedPrecondition("tenant '" + name +
                                       "' already exists");
   }
-  std::unique_ptr<service::Matcher> service;
-  if (options_.shards > 1) {
-    XSM_ASSIGN_OR_RETURN(
-        service,
-        shard::ShardedMatchService::Create(std::move(forest),
-                                           ServiceOptionsFor(name),
-                                           ShardOptionsFor(options_.shards)));
-  } else {
-    XSM_ASSIGN_OR_RETURN(
-        service,
-        service::MatchService::Create(std::move(forest),
-                                      ServiceOptionsFor(name)));
-  }
+  XSM_ASSIGN_OR_RETURN(
+      std::unique_ptr<service::Matcher> service,
+      service::Matcher::Create(std::move(forest), ServiceOptionsFor(name)));
   if (!wal_path.empty()) {
     // Checkpoint-then-journal, in that order: Recover replays the journal
     // onto a base snapshot, so a journaled tenant without one would be
@@ -158,44 +126,26 @@ Result<Tenant*> TenantRegistry::WarmStart(const std::string& name,
         "tenant persistence disabled (no state directory)");
   }
   std::string wal_path = WalPathFor(name);
-  // The on-disk format, not the registry's current `shards` knob, decides
-  // the boot path: a registry reconfigured between runs still boots every
-  // tenant exactly as it was saved.
-  bool sharded = LooksLikeShardManifest(env(), path);
-  if (!wal_path.empty()) {
-    live::RecoveryReport local;
-    std::unique_ptr<service::Matcher> service;
-    if (sharded) {
-      XSM_ASSIGN_OR_RETURN(
-          service,
-          shard::ShardedMatchService::Recover(env(), path, wal_path,
-                                              ServiceOptionsFor(name),
-                                              shard::ShardedOptions(),
-                                              &local));
-    } else {
-      XSM_ASSIGN_OR_RETURN(
-          service,
-          service::MatchService::Recover(env(), path, wal_path,
-                                         ServiceOptionsFor(name), &local));
-    }
-    wal_recoveries_->Increment();
-    wal_records_replayed_->Increment(local.records_replayed);
-    wal_records_skipped_->Increment(local.records_skipped);
-    if (local.torn_tail) wal_torn_tail_truncations_->Increment();
-    if (report != nullptr) *report = local;
+  // Matcher::WarmStart / Recover follow the on-disk format (snapshot file
+  // or shard manifest), not the registry's current `shards` knob: a
+  // registry reconfigured between runs still boots every tenant exactly as
+  // it was saved.
+  if (wal_path.empty()) {
+    XSM_ASSIGN_OR_RETURN(
+        std::unique_ptr<service::Matcher> service,
+        service::Matcher::WarmStart(path, ServiceOptionsFor(name), env()));
     return Insert(name, std::move(service));
   }
-  std::unique_ptr<service::Matcher> service;
-  if (sharded) {
-    XSM_ASSIGN_OR_RETURN(
-        service,
-        shard::ShardedMatchService::WarmStart(path, ServiceOptionsFor(name),
-                                              shard::ShardedOptions(), env()));
-  } else {
-    XSM_ASSIGN_OR_RETURN(
-        service,
-        service::MatchService::WarmStart(path, ServiceOptionsFor(name)));
-  }
+  live::RecoveryReport local;
+  XSM_ASSIGN_OR_RETURN(std::unique_ptr<service::Matcher> service,
+                       service::Matcher::Recover(env(), path, wal_path,
+                                                 ServiceOptionsFor(name),
+                                                 &local));
+  wal_recoveries_->Increment();
+  wal_records_replayed_->Increment(local.records_replayed);
+  wal_records_skipped_->Increment(local.records_skipped);
+  if (local.torn_tail) wal_torn_tail_truncations_->Increment();
+  if (report != nullptr) *report = local;
   return Insert(name, std::move(service));
 }
 

@@ -1,8 +1,7 @@
 // TenantRegistry: the multi-tenant heart of the xsm::net front end. Each
-// named tenant owns a full serving stack — its own Matcher backend (a
-// single-snapshot MatchService, or a ShardedMatchService when
-// TenantRegistryOptions::shards > 1; either way a live generation chain
-// and cluster-cache namespaces) plus a ServeSession exposing the NDJSON
+// named tenant owns a full serving stack — its own service::Matcher (a
+// live generation chain over MatchServiceOptions::shards shards, plus
+// cluster-cache namespaces) and a ServeSession exposing the NDJSON
 // surface — so tenants evolve, cache and persist independently: a delta
 // ingested into one tenant can never touch another's snapshots or warm
 // caches.
@@ -18,7 +17,7 @@
 // checkpoints the newborn tenant and attaches the journal, so every
 // acknowledged delta from then on is fsync'd into the WAL before its
 // generation publishes; WarmStartAll() boots through
-// MatchService::Recover — load checkpoint, replay journal suffix — so a
+// Matcher::Recover — load checkpoint, replay journal suffix — so a
 // SIGKILL'd server warm-restarts with zero acknowledged-delta loss, not
 // just whatever the last explicit save happened to capture.
 //
@@ -38,7 +37,7 @@
 
 #include "obs/metrics.h"
 #include "schema/schema_forest.h"
-#include "service/match_service.h"
+#include "service/matcher.h"
 #include "service/serve_session.h"
 #include "store/snapshot_store.h"
 #include "util/io.h"
@@ -47,14 +46,11 @@
 namespace xsm::net {
 
 struct TenantRegistryOptions {
-  /// Applied to every tenant's Matcher backend.
+  /// Applied to every tenant's Matcher. `service.shards` partitions each
+  /// newly created tenant (results stay byte-identical at every K); warm
+  /// starts take K from the tenant's saved files, so a registry boots
+  /// tenants saved under any setting.
   service::MatchServiceOptions service;
-  /// Shards per tenant. 1 (the default) serves each tenant from a plain
-  /// MatchService; > 1 serves it from a shard::ShardedMatchService with
-  /// this many node-balanced shards (results stay byte-identical — see
-  /// src/shard). Warm starts sniff the on-disk format, so a registry can
-  /// boot snapshots saved under either setting.
-  size_t shards = 1;
   /// Applied to every tenant's ServeSession. allow_filesystem is forced
   /// off regardless — remote clients must never name server paths; tenant
   /// persistence goes through Save*/WarmStart* and the state directory.

@@ -1,27 +1,59 @@
-// Matcher: the one calling surface every matching backend implements.
+// Matcher: the serving backend. Where core::Bellflower solves one matching
+// problem, the Matcher executes *traffic*: single queries, batches and async
+// submissions run concurrently on a fixed thread pool against an immutable
+// repository generation, and the expensive preprocessing (element matching
+// + clustering) is amortized across queries through a ClusterIndexCache —
+// reclustering with the same (personal schema, clustering parameters) key
+// happens at most once per repository content.
 //
-// Historically callers bound to five overlapping MatchService entry points
-// (Match / Match+control / MatchStreaming / SubmitMatch / MatchBatch), which
-// made the service the only possible backend. This header is the redesigned
-// contract: a backend takes one MatchRequest in and produces one MatchOutcome
-// (streaming progress through the same MatchObserver as before), against an
-// explicit RepositoryPin so the caller and the engine provably see the same
-// repository generation. Both the single-snapshot MatchService and the
-// scatter-gather shard::ShardedMatchService implement it, so ServeSession,
-// the HTTP endpoints, the CLI and the IntegrationEngine are backend-agnostic.
+//   auto matcher = service::Matcher::Create(std::move(forest));
+//   Result<MatchOutcome> out = (*matcher)->Run(request);          // terminal
+//   MatchHandle h = (*matcher)->Submit((*matcher)->Pin(), request); // async
+//   h.Cancel();                                       // cooperative stop
+//   (*matcher)->RunOn(pin, request, control, &observer);  // streaming
+//   BatchMatchResult batch = (*matcher)->RunBatch(requests);  // one pin
 //
-//   Result<MatchOutcome> out = matcher->Run(request);            // terminal
-//   MatchHandle h = matcher->Submit(matcher->Pin(), request);    // async
-//   matcher->RunOn(pin, request, control, &observer);            // streaming
+// Every call runs against an explicit RepositoryPin, so the caller and the
+// engine provably see the same repository generation. ApplyDelta publishes
+// the next generation atomically; a query finishes against the pin it
+// started with, and cluster caches are namespaced by content fingerprint,
+// so a stale cluster state can never serve a changed repository.
 //
-// The historical MatchService entry points still exist as thin deprecated
-// wrappers over this surface.
+// Shards. The repository may be partitioned into K >= 1 shards
+// (MatchServiceOptions::shards), each its own RepositorySnapshot chain. The
+// results are exact at every K — byte-identical mappings, ranks and scores:
+//   - The shard plan is a contiguous cut of the TreeId space
+//     (shard/shard_plan.h), so concatenating per-shard element-matching
+//     results in shard order, each shard's tree ids offset by its first
+//     global tree, reproduces the global NodeRef-sorted mapping-element
+//     sets bit for bit (element matching is per (personal node, repository
+//     node), and clusters never span trees).
+//   - Clustering runs once, globally, over the merged matching
+//     (Bellflower::ClusterFromMatching against a global view that shares
+//     every tree payload and TreeIndex with the shards), because k-means
+//     has global couplings: MEmin seeding, convergence, the RNG.
+//   - Generation scatters per owning shard through MatchWithState's
+//     cluster_subset against the shared global state: disjoint subsets emit
+//     exactly the mappings of one unrestricted run, and the final
+//     sort(MappingOrder) + top-N cut is the engine's own reduction.
+//     Streaming runs and configurations whose adaptive state couples
+//     clusters (adaptive top-N with partial mappings, the pre-clustering
+//     structural baseline) generate unscattered on the global view.
+// K changes nothing else. At K = 1 the pin is the RepositorySnapshot
+// itself, cluster states come from snapshot->matcher().BuildClusterState,
+// no fan-out pool or per-shard cache exists, and SaveSnapshot writes one
+// snapshot file. At K > 1 SaveSnapshot writes K shard files
+// (`path + ".shard<i>"`) and then a manifest at `path`, the commit point;
+// AttachWal journals per shard under `wal_path + ".shard<i>"`; ApplyDelta
+// routes ops to owning shards (adds go to the last) and rebalances when the
+// node imbalance exceeds kRebalanceThreshold.
 #ifndef XSM_SERVICE_MATCHER_H_
 #define XSM_SERVICE_MATCHER_H_
 
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,10 +64,13 @@
 #include "live/repository_delta.h"
 #include "live/repository_manager.h"
 #include "obs/metrics.h"
+#include "schema/schema_forest.h"
 #include "schema/schema_tree.h"
 #include "service/cluster_index_cache.h"
 #include "service/repository_pin.h"
+#include "service/repository_snapshot.h"
 #include "store/snapshot_store.h"
+#include "util/io.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -52,15 +87,9 @@ struct MatchRequest {
   core::MatchOptions options;
 };
 
-/// Historical name; MatchQuery and MatchRequest are the same type.
-/// Deprecated: new code should say MatchRequest.
-using MatchQuery = MatchRequest;
-
-/// Validated construction of a MatchRequest: setters collect the knobs that
-/// used to be poked loose into MatchQuery fields by every serving layer, and
-/// Build() runs the complete validation (previously scattered across
-/// ParseQuery, MatchService and Bellflower) once, up front. A request that
-/// Build() returns is accepted by every backend.
+/// Validated construction of a MatchRequest: setters collect the knobs
+/// every serving layer sets, and Build() runs the complete validation
+/// once, up front. A request that Build() returns is accepted by Matcher.
 class MatchRequestBuilder {
  public:
   MatchRequestBuilder& id(std::string id) {
@@ -109,7 +138,7 @@ class MatchRequestBuilder {
   /// Access to the request under construction (for knobs without setters).
   MatchRequest& request() { return request_; }
 
-  /// Validates every field a backend would otherwise reject mid-flight:
+  /// Validates every field the Matcher would otherwise reject mid-flight:
   /// non-empty well-formed personal schema, δ and element threshold in
   /// [0,1], objective and k-means parameters. Returns the finished request
   /// by value; the builder may be reused afterwards.
@@ -119,7 +148,15 @@ class MatchRequestBuilder {
   MatchRequest request_;
 };
 
+/// Base seed mixed with request ids by SeedForQuery (see derive_seeds).
+inline constexpr uint64_t kQuerySeedBase = 42;
+
 struct MatchServiceOptions {
+  /// Shards Create partitions a forest into (K >= 1). WarmStart and Recover
+  /// take K from the file they boot; the constructors adopting one
+  /// snapshot or manager serve K = 1. options().shards reports the K in
+  /// use.
+  size_t shards = 1;
   /// Worker threads executing Submit / RunBatch work; 0 means
   /// ThreadPool::DefaultThreadCount().
   size_t num_threads = 0;
@@ -140,14 +177,12 @@ struct MatchServiceOptions {
   /// generation stay warm across small deltas, and a delta that restores
   /// earlier content (equal fingerprint) gets its warm cache back.
   size_t cache_retained_generations = 1;
-  /// Base seed mixed with request ids by SeedForQuery.
-  uint64_t base_seed = 42;
   /// When a request's clustering consumes randomness (CentroidInit::kRandom
   /// / kFarthestFirst), replace its k-means seed with
-  /// SeedForQuery(base_seed, request.id) so results are a pure function of
-  /// the request, not of thread interleaving. The default kMinSet
-  /// initialization is deterministic and ignores the seed, so those
-  /// requests share cache entries across ids.
+  /// SeedForQuery(kQuerySeedBase, request.id) so results are a pure
+  /// function of the request, not of thread interleaving. The default
+  /// kMinSet initialization is deterministic and ignores the seed, so
+  /// those requests share cache entries across ids.
   bool derive_seeds = true;
   /// Per-query wall-clock deadline in seconds, applied to every request
   /// whose ExecutionControl carries no deadline of its own; 0 disables. The
@@ -165,9 +200,8 @@ struct MatchServiceOptions {
   /// unlabeled series (single-tenant processes).
   std::string metrics_tenant;
   /// false disables the per-query instrumentation added beyond the
-  /// historical counters — latency histogram, slow-query accounting —
-  /// giving benchmarks an uninstrumented baseline to measure overhead
-  /// against. Counters still work (they replaced equal-cost atomics).
+  /// counters — latency histogram, slow-query accounting — giving
+  /// benchmarks an uninstrumented baseline to measure overhead against.
   bool enable_metrics = true;
   /// Queries slower than this many wall-clock milliseconds count into
   /// xsm_slow_queries_total, and serving layers log them (ServeSession
@@ -175,26 +209,11 @@ struct MatchServiceOptions {
   double slow_query_ms = 0;
 };
 
-/// The pure part of the "effective options" computation: what any backend
-/// runs for `request` given only the seeding policy — per-request k-means
-/// seed derivation for randomized initializations, and the removal of any
-/// caller-supplied element.control (cached cluster-state builds must always
-/// run to completion). Backends layer execution plumbing (the snapshot's
-/// name dictionary, the matching pool) on top of this; that plumbing never
-/// changes results, so `!stats`, HTTP and the CLI all report exactly the
-/// options this function returns.
-struct EffectiveOptionsPolicy {
-  uint64_t base_seed = 42;
-  bool derive_seeds = true;
-};
-core::MatchOptions EffectiveRequestOptions(const MatchRequest& request,
-                                           const EffectiveOptionsPolicy& policy);
-
 /// Result of one RunBatch call: the per-request results in input order plus
 /// the provenance of the pin the whole batch ran against. Callers recording
-/// where results came from (integration provenance, scatter-gather merges)
-/// read the generation/fingerprint instead of racing CurrentGeneration()
-/// against concurrent deltas.
+/// where results came from (integration provenance) read the
+/// generation/fingerprint instead of racing CurrentGeneration() against
+/// concurrent deltas.
 struct BatchMatchResult {
   /// Generation number of the pin that served every batch member.
   uint64_t generation = 0;
@@ -232,8 +251,8 @@ struct ServiceStats {
   ClusterIndexCache::Stats cache;
 };
 
-/// One shard of a backend's repository, as reported by Matcher::Shards().
-/// The unsharded backend reports exactly one covering everything.
+/// One shard of the repository, as reported by Matcher::Shards(). At K = 1
+/// the one shard covers everything.
 struct ShardDescriptor {
   size_t shard = 0;            ///< shard index in [0, K)
   uint64_t generation = 0;     ///< the shard's own generation chain position
@@ -274,65 +293,130 @@ class MatchHandle {
   std::future<Result<core::MatchResult>> future_;
 };
 
-/// Abstract matching backend. Thread-safe: one instance serves arbitrarily
-/// many concurrent callers. Implementations: MatchService (one snapshot
-/// chain), shard::ShardedMatchService (K shard chains, scatter-gather).
+/// Thread-safe: one instance serves arbitrarily many concurrent callers.
 class Matcher {
  public:
-  virtual ~Matcher() = default;
+  /// ApplyDelta rebalances a K > 1 layout when the node imbalance (max
+  /// shard nodes over the per-shard mean) exceeds this factor and a better
+  /// balanced plan exists.
+  static constexpr double kRebalanceThreshold = 1.5;
+
+  /// Serves `repository` in options.shards node-balanced shards (K = 1:
+  /// one snapshot, validated and indexed once; K > 1: shard snapshots
+  /// built in parallel).
+  static Result<std::unique_ptr<Matcher>> Create(
+      schema::SchemaForest repository,
+      const MatchServiceOptions& options = MatchServiceOptions());
+
+  /// Serves an already-built snapshot: adopted as is at K = 1, its forest
+  /// repartitioned at K > 1.
+  static Result<std::unique_ptr<Matcher>> Create(
+      std::shared_ptr<const RepositorySnapshot> snapshot,
+      const MatchServiceOptions& options = MatchServiceOptions());
+
+  /// Boots from what SaveSnapshot wrote at `path`: a snapshot file (K = 1)
+  /// or a shard manifest plus its K shard files. Forests, indexes and
+  /// dictionaries are loaded, not rebuilt, and the generation chain
+  /// continues from the saved generation. A manifest whose recomputed
+  /// fingerprint disagrees with its shard files fails with Corruption.
+  /// `env` (null: the default Env) reads the files and later writes the
+  /// manifest.
+  static Result<std::unique_ptr<Matcher>> WarmStart(
+      const std::string& path,
+      const MatchServiceOptions& options = MatchServiceOptions(),
+      util::io::Env* env = nullptr);
+
+  /// Crash-safe boot from a snapshot file or shard manifest at
+  /// `snapshot_path` plus the journal(s) under `wal_path`: loads the
+  /// checkpoint, replays each journal's post-checkpoint suffix
+  /// (live::RepositoryManager::Recover) and keeps journaling into the same
+  /// WAL(s). `report` (may be null) receives the replay accounting. At
+  /// K > 1 the recovered generation is the manifest generation plus the
+  /// deepest per-shard replay (a delta touches >= 1 shard, so this is a
+  /// lower bound on the pre-crash counter; content and fingerprints are
+  /// exact regardless).
+  static Result<std::unique_ptr<Matcher>> Recover(
+      util::io::Env* env, const std::string& snapshot_path,
+      const std::string& wal_path,
+      const MatchServiceOptions& options = MatchServiceOptions(),
+      live::RecoveryReport* report = nullptr);
+
+  /// Serves one snapshot (K = 1).
+  explicit Matcher(std::shared_ptr<const RepositorySnapshot> snapshot,
+                   const MatchServiceOptions& options = MatchServiceOptions());
+
+  /// Adopts an already-built generation chain (K = 1), WAL attached and
+  /// all — e.g. one produced by live::RepositoryManager::Recover.
+  explicit Matcher(std::unique_ptr<live::RepositoryManager> manager,
+                   const MatchServiceOptions& options = MatchServiceOptions());
+
+  Matcher(const Matcher&) = delete;
+  Matcher& operator=(const Matcher&) = delete;
+
+  ~Matcher();
 
   // --- Repository surface. -----------------------------------------------
 
   /// Pins the current repository generation. Hold the returned pointer
   /// while touching anything it exposes — a concurrent ApplyDelta retires
-  /// the generation once the last holder lets go.
-  virtual RepositoryPinPtr Pin() const = 0;
+  /// the generation once the last holder lets go. At K = 1 the pin is the
+  /// current RepositorySnapshot; at K > 1 a federated view over the K
+  /// shard snapshots.
+  RepositoryPinPtr Pin() const;
 
   /// Generation number of the current pin (0 until the first delta).
-  virtual uint64_t CurrentGeneration() const = 0;
+  uint64_t CurrentGeneration() const { return Pin()->generation(); }
 
   /// Applies a validated delta and atomically publishes the successor
   /// generation. In-flight requests finish against their pins; requests
   /// entering after this returns see the new generation. Serialized with
   /// concurrent ApplyDelta calls; on error nothing changes. `trace` (may
-  /// be null) receives the per-stage spans.
-  virtual Result<live::ApplyReport> ApplyDelta(
-      const live::RepositoryDelta& delta,
-      obs::TraceContext* trace = nullptr) = 0;
+  /// be null) receives the per-stage spans (delta_validate /
+  /// snapshot_build / wal_fsync / publish).
+  Result<live::ApplyReport> ApplyDelta(const live::RepositoryDelta& delta,
+                                       obs::TraceContext* trace = nullptr);
 
-  /// Persists the current repository for a later warm start (atomic write).
-  /// Sharded backends fan this out into per-shard files plus a manifest
-  /// under `path`; the returned info aggregates over every file written.
-  virtual Result<store::SnapshotFileInfo> SaveSnapshot(
-      const std::string& path, obs::TraceContext* trace = nullptr) const = 0;
+  /// Persists the current repository for a later WarmStart / Recover
+  /// (atomic writes; see the header comment for the K > 1 layout). Safe
+  /// alongside concurrent queries and deltas. With a journal attached this
+  /// is the checkpoint that compacts it. `trace` (may be null) receives
+  /// store_save / wal_compact spans. The returned info aggregates over
+  /// every file written.
+  Result<store::SnapshotFileInfo> SaveSnapshot(
+      const std::string& path, obs::TraceContext* trace = nullptr) const;
 
-  /// Write-ahead journals every subsequent ApplyDelta (sharded backends
-  /// journal per shard under the given path prefix): appended + fsync'd
-  /// before the new generation is published, so an acknowledged delta
-  /// survives a crash.
-  virtual Status AttachWal(util::io::Env* env,
-                           const std::string& wal_path) = 0;
+  /// Write-ahead journals every subsequent ApplyDelta into `wal_path`
+  /// (per shard under `wal_path + ".shard<i>"` at K > 1; created fresh,
+  /// based at the current generation): appended + fsync'd before the new
+  /// generation is published, so an acknowledged delta survives a crash.
+  /// `env` also carries every later SaveSnapshot.
+  Status AttachWal(util::io::Env* env, const std::string& wal_path);
 
   /// Whether deltas are currently being journaled.
-  virtual bool wal_attached() const = 0;
+  bool wal_attached() const;
 
-  /// The backend's shard layout: one descriptor per shard, in shard order.
-  /// The default (unsharded) implementation reports a single shard covering
-  /// the whole pinned repository.
-  virtual std::vector<ShardDescriptor> Shards() const;
+  /// The shard layout: one descriptor per shard, in shard order.
+  std::vector<ShardDescriptor> Shards() const;
+
+  /// Per-shard file under a K > 1 snapshot or journal prefix:
+  /// `prefix + ".shard" + i`.
+  static std::string ShardFilePath(const std::string& prefix, size_t shard);
 
   // --- Query surface. ----------------------------------------------------
 
   /// Executes one request against an explicit pin, on the calling thread,
-  /// streaming progress to `observer` (may be null) under `control`. The
-  /// pin must come from this backend's Pin(). A run no limit interrupts is
-  /// deterministic for a fixed (pin fingerprint, request); an interrupted
-  /// run resolves Status-OK with the mappings found so far and the typed
-  /// terminal status in MatchResult::execution.
-  virtual Result<core::MatchResult> RunOn(
-      const RepositoryPinPtr& pin, const MatchRequest& request,
-      const core::ExecutionControl& control,
-      core::MatchObserver* observer = nullptr) = 0;
+  /// streaming progress to `observer` (may be null) under `control` (the
+  /// default deadline fills in if it has none). The pin must come from
+  /// this backend's Pin(). A run no limit interrupts is deterministic for
+  /// a fixed (pin fingerprint, request); an interrupted run resolves
+  /// Status-OK with the mappings found so far and the typed terminal
+  /// status in MatchResult::execution. Cancellation never poisons the
+  /// cluster cache: a cluster-state build that has started always
+  /// completes; control is checked before it and during generation.
+  Result<core::MatchResult> RunOn(const RepositoryPinPtr& pin,
+                                  const MatchRequest& request,
+                                  const core::ExecutionControl& control,
+                                  core::MatchObserver* observer = nullptr);
 
   /// Terminal convenience: pins the current generation, runs the request,
   /// and wraps the result with the pin's provenance.
@@ -342,56 +426,218 @@ class Matcher {
       core::MatchObserver* observer = nullptr);
 
   /// Enqueues one request on the pool against an explicit pin and returns
-  /// a cancellable handle; the backend default deadline starts now (queue
-  /// wait counts). `observer` (may be null) must outlive the request; its
+  /// a cancellable handle; the default deadline starts now (queue wait
+  /// counts). `observer` (may be null) must outlive the request; its
   /// callbacks run on the pool thread executing it.
-  virtual MatchHandle Submit(
-      RepositoryPinPtr pin, MatchRequest request,
-      core::ExecutionControl control = core::ExecutionControl(),
-      core::MatchObserver* observer = nullptr) = 0;
+  MatchHandle Submit(RepositoryPinPtr pin, MatchRequest request,
+                     core::ExecutionControl control = core::ExecutionControl(),
+                     core::MatchObserver* observer = nullptr);
 
   /// Executes all requests on the pool and returns their results in input
   /// order. The whole batch runs against one pin — the generation current
   /// at the call — so its results are mutually consistent even when deltas
   /// land mid-batch. Blocks until the batch is done; call from outside the
   /// backend's pool.
-  virtual BatchMatchResult RunBatch(std::vector<MatchRequest> requests) = 0;
+  BatchMatchResult RunBatch(std::vector<MatchRequest> requests);
 
   /// The cached cluster state (element matching + clustering) for
   /// `request` against an explicit pin: consults the fingerprint-keyed
   /// cache namespace and computes-once on miss, exactly like the query
   /// path. The build always runs to completion, so the cache can never
-  /// hold a partial state.
-  virtual Result<ClusterStatePtr> ClusterStateFor(
-      const RepositoryPinPtr& pin, const MatchRequest& request) = 0;
+  /// hold a partial state. This is the integration engine's
+  /// bulk-preprocessing hook.
+  Result<ClusterStatePtr> ClusterStateFor(const RepositoryPinPtr& pin,
+                                          const MatchRequest& request);
 
   // --- Introspection. ----------------------------------------------------
 
-  virtual const MatchServiceOptions& options() const = 0;
-  virtual ThreadPool& pool() = 0;
-  virtual ServiceStats stats() const = 0;
+  const MatchServiceOptions& options() const { return options_; }
+  ThreadPool& pool() { return pool_; }
+  ServiceStats stats() const;
 
-  /// The registry this backend's series live in. Every stats surface
-  /// (`!stats`, `/v1/stats`, `/metrics`) reads values that originate here,
-  /// so they can never disagree.
-  virtual obs::MetricsRegistry& metrics() const = 0;
+  /// The registry this backend's series live in — the shared one from
+  /// MatchServiceOptions::metrics or the private fallback. Every stats
+  /// surface (`!stats`, `/v1/stats`, `/metrics`) reads values that
+  /// originate here, so they can never disagree.
+  obs::MetricsRegistry& metrics() const { return *metrics_; }
 
-  /// The options this backend actually runs for `request` against the
-  /// current pin: EffectiveRequestOptions plus backend execution plumbing
-  /// (which never changes results).
-  virtual core::MatchOptions EffectiveOptions(
-      const MatchRequest& request) const = 0;
+  /// Drops every cached cluster state in every retained namespace
+  /// (measurement / repository tuning).
+  void ClearCache();
+
+  /// The options RunOn actually runs for `request` against the current
+  /// pin: per-request k-means seed derivation for randomized
+  /// initializations, any caller-supplied element.control dropped (cached
+  /// builds always run to completion), plus execution plumbing that never
+  /// changes results — the matching pool, and at K = 1 the snapshot's name
+  /// dictionary unless the request brought its own. Lifetime: that
+  /// dictionary lives in the snapshot current at this call — hold Pin()
+  /// across any use of the returned options.
+  core::MatchOptions EffectiveOptions(const MatchRequest& request) const;
 
   /// The cluster-cache key for `request`: a canonical fingerprint of its
   /// personal schema and state-determining options. Stable across
-  /// generations and identical across backends — cross-generation
-  /// isolation comes from the fingerprint namespace, not the key.
-  virtual std::string ClusterStateKey(const MatchRequest& request) const = 0;
+  /// generations and shard counts — cross-generation isolation comes from
+  /// the fingerprint namespace, not the key.
+  std::string ClusterStateKey(const MatchRequest& request) const;
+
+ private:
+  /// The K > 1 pin (defined in the .cc).
+  class ShardedPin;
+
+  /// Per-fingerprint cluster-cache namespace, kept in publication order.
+  struct CacheNamespace {
+    uint64_t fingerprint = 0;
+    std::shared_ptr<ClusterIndexCache> cache;
+  };
+  /// One retention domain: the merged-state caches, or (K > 1) one shard's
+  /// element-matching caches.
+  struct CacheSet {
+    std::vector<CacheNamespace> namespaces;
+    /// Counters folded in from dropped namespaces, so stats() is
+    /// cumulative.
+    ClusterIndexCache::Stats retired;
+  };
+
+  Matcher(std::vector<std::unique_ptr<live::RepositoryManager>> managers,
+          uint64_t generation, const MatchServiceOptions& options);
+
+  size_t num_shards() const { return managers_.size(); }
+
+  /// Checks that `pin` is one of this backend's pins.
+  Status CheckPin(const RepositoryPinPtr& pin) const;
+
+  /// The engine over a checked pin's whole forest: the snapshot's at
+  /// K = 1, the federated global view's at K > 1.
+  const core::Bellflower& EngineOf(const RepositoryPin& pin) const;
+
+  /// Fills in the default deadline when `control` has none.
+  core::ExecutionControl ResolveControl(core::ExecutionControl control) const;
+
+  /// Bumps the terminal-status counter for one finished query.
+  void CountTerminal(core::ExecutionStatus status);
+
+  /// EffectiveOptions against an explicit (checked) pin.
+  core::MatchOptions EffectiveOptionsFor(const MatchRequest& request,
+                                         const RepositoryPin& pin) const;
+
+  /// The whole query path, against one checked pin.
+  Result<core::MatchResult> Execute(const RepositoryPinPtr& pin,
+                                    const MatchRequest& request,
+                                    const core::ExecutionControl& control,
+                                    core::MatchObserver* observer);
+
+  /// The cached cluster state for (personal, state_options) against a
+  /// checked pin; `trace` (may be null) receives the cluster_cache span and
+  /// the spans of a build this call runs itself.
+  Result<ClusterStatePtr> ClusterState(
+      const RepositoryPinPtr& pin, const schema::SchemaTree& personal,
+      const core::ClusterStateOptions& state_options, obs::TraceContext* trace);
+
+  /// K > 1 build: per-shard element matching (cached per shard), merged
+  /// into global tree-id space, clustered once globally.
+  Result<core::ClusterState> BuildShardedState(
+      const std::shared_ptr<const ShardedPin>& pin,
+      const schema::SchemaTree& personal,
+      const core::ClusterStateOptions& state_options, const std::string& key,
+      obs::TraceContext* trace);
+
+  /// K > 1 generation: one restricted MatchWithState per owning shard
+  /// against the shared global state, merged by the engine's reduction
+  /// (one unrestricted run when a single shard owns every cluster).
+  Result<core::MatchResult> ScatterGeneration(
+      const ShardedPin& pin, const MatchRequest& request,
+      const core::ClusterState& state, const core::MatchOptions& effective,
+      const core::ExecutionControl& resolved);
+
+  /// The cache namespace for `fingerprint` in cache set `set` (0: merged
+  /// states; 1 + s: shard s's element matching), created if absent.
+  /// Publication sites (construction, ApplyDelta) pass `enforce_retention`:
+  /// they move the namespace to the most-recently-published position and
+  /// trim the oldest beyond the retention limit. The query path does
+  /// neither, so a long-queued query pinned to an already-retired
+  /// generation can neither evict a recent generation's warm cache nor
+  /// promote its own stray namespace above one.
+  std::shared_ptr<ClusterIndexCache> CacheFor(size_t set, uint64_t fingerprint,
+                                              bool enforce_retention = false);
+
+  /// Registers the current generation's cache namespaces (publication).
+  void PublishCaches(const RepositoryPin& pin);
+
+  /// K > 1 delta path: routes ops to owning shards, applies, rebalances
+  /// and publishes the next federated pin. Caller holds apply_mu_.
+  Result<live::ApplyReport> ApplyShardedLocked(
+      const live::RepositoryDelta& delta, obs::TraceContext* trace);
+
+  /// Rebalances shards whose ranges changed under a freshly balanced plan
+  /// (copy-on-write successors; WAL re-attach; re-checkpoint when a
+  /// snapshot prefix is known). Caller holds apply_mu_; updates `shards`.
+  Status MaybeRebalance(
+      std::vector<std::shared_ptr<const RepositorySnapshot>>* shards,
+      obs::TraceContext* trace);
+
+  /// K > 1 save: every shard, then the manifest through env_. Caller holds
+  /// apply_mu_.
+  Result<store::SnapshotFileInfo> SaveLocked(const std::string& path,
+                                             obs::TraceContext* trace) const;
+
+  MatchServiceOptions options_;
+
+  /// Serializes ApplyDelta end to end (publication + cache registration),
+  /// so cache publication order always matches generation order; at K > 1
+  /// also SaveSnapshot and AttachWal, so a save never mixes shard states
+  /// from two generations. Mutable: SaveSnapshot is logically const.
+  mutable std::mutex apply_mu_;
+  std::vector<std::unique_ptr<live::RepositoryManager>> managers_;
+  /// K > 1: global publication counter (+1 per successful ApplyDelta,
+  /// whatever subset of shards the delta touched) and the current pin. At
+  /// K = 1 the manager's chain is both.
+  uint64_t generation_ = 0;
+  mutable std::mutex pin_mu_;
+  std::shared_ptr<const ShardedPin> pin_;
+
+  ThreadPool pool_;
+  /// K > 1 scatter pool: per-query fan-out tasks run here, never on pool_,
+  /// so a query executing on pool_ can't deadlock waiting for its own
+  /// shard tasks.
+  std::unique_ptr<ThreadPool> fanout_pool_;
+  /// Element-matching shard pool; null when matching_threads == 0.
+  std::unique_ptr<ThreadPool> matching_pool_;
+
+  mutable std::mutex caches_mu_;
+  /// [0] = merged-state caches; [1 + s] = shard s's caches (K > 1 only).
+  std::vector<CacheSet> cache_sets_;
+
+  /// The Env of the last AttachWal / Recover / WarmStart (null: default):
+  /// the manifest and rebalance journals go through it (K > 1).
+  util::io::Env* env_ = nullptr;
+  std::string wal_prefix_;
+  mutable std::string snap_prefix_;
+
+  /// Metric handles, pre-registered at construction (shared registry or
+  /// the private fallback); increments are single relaxed fetch_adds, and
+  /// the registry is the single source of truth stats() reads back from.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Counter* queries_ = nullptr;
+  obs::Counter* batches_ = nullptr;
+  obs::Counter* cancelled_ = nullptr;
+  obs::Counter* deadline_exceeded_ = nullptr;
+  obs::Counter* early_stopped_ = nullptr;
+  obs::Counter* deltas_applied_ = nullptr;
+  obs::Counter* slow_queries_ = nullptr;
+  obs::Counter* fanouts_ = nullptr;     ///< K > 1 only
+  obs::Counter* rebalances_ = nullptr;  ///< K > 1 only
+  obs::Histogram* query_latency_ms_ = nullptr;
+  live::ManagerMetrics manager_metrics_;
+  /// Mirrors cache/generation tallies into registry series at scrape
+  /// time; removed in the destructor (the hook captures `this`).
+  uint64_t scrape_hook_id_ = 0;
 };
 
-/// The canonical cluster-cache key (exposed so every backend and test
-/// derives keys the same way): a canonical serialization of the personal
-/// schema plus the state-determining options.
+/// The canonical cluster-cache key (exposed so tests derive keys the same
+/// way): a canonical serialization of the personal schema plus the
+/// state-determining options.
 std::string BuildClusterStateKey(const schema::SchemaTree& personal,
                                  const core::ClusterStateOptions& options);
 

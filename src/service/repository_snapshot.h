@@ -29,19 +29,19 @@ namespace xsm::service {
 
 /// Content hash of one tree: structure + node properties, independent of the
 /// tree's position in the forest (a tree keeps its fingerprint when removals
-/// renumber it). Exposed so other repository representations (the sharded
-/// backend's federated view) fingerprint content identically to snapshots.
+/// renumber it). Exposed so other repository representations (the K > 1
+/// federated view) fingerprint content identically to snapshots.
 uint64_t FingerprintTree(const schema::SchemaTree& tree);
 
 /// Folds per-tree fingerprints (in TreeId order) into the forest-level
 /// fingerprint exactly the way RepositorySnapshot does, so equal content
-/// yields equal fingerprints across backends.
+/// yields equal fingerprints at every shard count.
 uint64_t CombineForestFingerprint(size_t num_trees, size_t total_nodes,
                                   const std::vector<uint64_t>& tree_fps);
 
 /// Immutable repository + index + matcher. Never mutated after creation, so
 /// a const reference may be used from any number of threads concurrently.
-/// A snapshot is the single-backend RepositoryPin: MatchService::Pin()
+/// A snapshot is the K = 1 RepositoryPin: a one-shard Matcher::Pin()
 /// returns its current snapshot directly.
 class RepositorySnapshot : public RepositoryPin {
  public:

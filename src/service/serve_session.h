@@ -1,6 +1,6 @@
 // ServeSession: the transport-independent serving core shared by the CLI's
 // stdin serve mode and the xsm::net HTTP front end. One session wraps one
-// Matcher backend (single-snapshot or sharded) and exposes exactly the
+// service::Matcher (any shard count) and exposes exactly the
 // serve-mode surface — query lines
 // ("SPEC [key=value ...]"), repository commands ("!ingest SPEC", "!remove
 // ID", ...) and the NDJSON event vocabulary (mapping / cluster / done /
@@ -139,8 +139,7 @@ class NdjsonIntegrationObserver : public integrate::IntegrationObserver {
 
 class ServeSession {
  public:
-  /// `service` must outlive the session. Any Matcher backend works — the
-  /// session never looks behind the interface.
+  /// `service` must outlive the session; any shard count works.
   ServeSession(Matcher* service, ServeSessionOptions options);
 
   Matcher* service() const { return service_; }
@@ -150,7 +149,7 @@ class ServeSession {
   ///   SPEC [id=NAME] [delta=D] [top=N] [cluster=tree|kmeans] [join=J]
   ///        [threshold=T] [alpha=A]
   /// against the session defaults. `index` numbers the fallback id "q<i>".
-  Result<MatchQuery> ParseQuery(const std::string& line, size_t index) const;
+  Result<MatchRequest> ParseQuery(const std::string& line, size_t index) const;
 
   /// Runs one query to completion, streaming mapping/cluster events to
   /// `sink` the moment they are found and finishing with one "done" (or
@@ -160,14 +159,14 @@ class ServeSession {
   /// session first_n and the service default deadline fill in when
   /// `control` carries none.
   Result<core::MatchResult> RunQuery(
-      const MatchQuery& query, const EventSink& sink,
+      const MatchRequest& query, const EventSink& sink,
       core::ExecutionControl control = core::ExecutionControl());
 
   /// Submits every query on the service pool, streams interleaved mapping
   /// events, then emits the done events in input order (the batch-mode
   /// contract). Returns the number of queries that failed with an error
   /// Status (interrupted runs — cancelled / deadline — are not errors).
-  size_t RunBatch(const std::vector<MatchQuery>& queries,
+  size_t RunBatch(const std::vector<MatchRequest>& queries,
                   const EventSink& sink,
                   core::ExecutionControl control = core::ExecutionControl());
 

@@ -1,7 +1,7 @@
 // Fixed-size thread pool for the service layer: a mutex/condvar task queue
 // drained by N worker threads. Tasks are std::function<void()>; Submit wraps
 // a callable in a packaged_task and returns the future. The pool is the
-// execution engine behind service::MatchService (single queries, batches and
+// execution engine behind service::Matcher (single queries, batches and
 // async submissions all end up here).
 #ifndef XSM_UTIL_THREAD_POOL_H_
 #define XSM_UTIL_THREAD_POOL_H_

@@ -24,6 +24,12 @@
 //   // run->execution: kCompleted / kCancelled / kDeadlineExceeded /
 //   // kEarlyStopped; run->mappings holds whatever was found in time.
 //   // control.cancel.Cancel() (from any thread) stops the run cooperatively.
+//
+// Serving traffic (cluster-state cache, thread pool, live deltas, K >= 1
+// shards; see service/matcher.h):
+//   auto matcher = xsm::service::Matcher::Create(std::move(repo));
+//   xsm::service::MatchRequest request{"q1", *personal, options};
+//   auto outcome = (*matcher)->Run(request);        // result + generation
 #ifndef XSM_XSM_XSM_H_
 #define XSM_XSM_XSM_H_
 
@@ -56,8 +62,9 @@
 #include "repo/synthetic.h"              // IWYU pragma: export
 #include "schema/schema_forest.h"        // IWYU pragma: export
 #include "schema/schema_tree.h"          // IWYU pragma: export
+#include "shard/shard_plan.h"            // IWYU pragma: export
 #include "service/cluster_index_cache.h"  // IWYU pragma: export
-#include "service/match_service.h"        // IWYU pragma: export
+#include "service/matcher.h"              // IWYU pragma: export
 #include "service/repository_snapshot.h"  // IWYU pragma: export
 #include "service/serve_session.h"        // IWYU pragma: export
 #include "sim/string_similarity.h"       // IWYU pragma: export

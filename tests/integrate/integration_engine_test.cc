@@ -11,7 +11,7 @@
 #include "live/repository_delta.h"
 #include "repo/synthetic.h"
 #include "schema/schema_tree.h"
-#include "service/match_service.h"
+#include "service/matcher.h"
 #include "util/random.h"
 
 namespace xsm::integrate {
@@ -107,7 +107,7 @@ PlantedCorpus BuildPlantedCorpus(uint64_t seed, size_t num_trees,
   return corpus;
 }
 
-std::unique_ptr<service::MatchService> ServiceOver(
+std::unique_ptr<service::Matcher> ServiceOver(
     schema::SchemaForest forest, size_t num_threads = 0,
     size_t cache_capacity = 4096) {
   service::MatchServiceOptions options;
@@ -115,8 +115,8 @@ std::unique_ptr<service::MatchService> ServiceOver(
   options.cluster_cache_capacity = cache_capacity;
   auto snapshot = service::RepositorySnapshot::Create(std::move(forest));
   EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  return std::make_unique<service::MatchService>(std::move(*snapshot),
-                                                 options);
+  return std::make_unique<service::Matcher>(std::move(*snapshot),
+                                            options);
 }
 
 const CorrespondenceCluster* FindClusterByName(const IntegrationResult& result,
@@ -279,7 +279,7 @@ TEST(IntegrationEngineTest, CancellationLeavesTypedPartialAndCleanCache) {
   EXPECT_TRUE(partial->mediated.elements.empty());
   // Provenance still names the snapshot the partial run was pinned to.
   EXPECT_EQ(partial->fingerprint,
-            service->CurrentSnapshot()->fingerprint());
+            service->Pin()->fingerprint());
 
   auto rerun = engine.Integrate(IntegrationOptions());
   ASSERT_TRUE(rerun.ok());
@@ -338,7 +338,7 @@ TEST(IntegrationEngineTest, ProvenanceTracksTheServedSnapshot) {
 
   auto gen0 = engine.Integrate(IntegrationOptions());
   ASSERT_TRUE(gen0.ok());
-  auto snapshot = service->CurrentSnapshot();
+  auto snapshot = service->Pin();
   EXPECT_EQ(gen0->generation, 0u);
   EXPECT_EQ(gen0->fingerprint, snapshot->fingerprint());
   ASSERT_EQ(gen0->tree_fingerprints.size(), snapshot->num_trees());

@@ -11,7 +11,7 @@
 #include "integrate/integration_engine.h"
 #include "live/repository_delta.h"
 #include "schema/schema_tree.h"
-#include "service/match_service.h"
+#include "service/matcher.h"
 #include "util/random.h"
 
 namespace xsm::integrate {
@@ -64,14 +64,14 @@ schema::SchemaForest BuildForest(uint64_t seed, size_t num_trees,
   return forest;
 }
 
-std::unique_ptr<service::MatchService> ServiceOver(
+std::unique_ptr<service::Matcher> ServiceOver(
     schema::SchemaForest forest) {
   service::MatchServiceOptions options;
   options.cluster_cache_capacity = 4096;
   auto snapshot = service::RepositorySnapshot::Create(std::move(forest));
   EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  return std::make_unique<service::MatchService>(std::move(*snapshot),
-                                                 options);
+  return std::make_unique<service::Matcher>(std::move(*snapshot),
+                                            options);
 }
 
 IntegrationResult IntegrateForest(schema::SchemaForest forest) {

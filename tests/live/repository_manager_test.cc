@@ -17,15 +17,15 @@
 #include "repo/synthetic.h"
 #include "schema/schema_forest.h"
 #include "schema/schema_tree.h"
-#include "service/match_service.h"
+#include "service/matcher.h"
 #include "service/repository_snapshot.h"
 #include "util/random.h"
 
 namespace xsm::live {
 namespace {
 
-using service::MatchQuery;
-using service::MatchService;
+using service::MatchRequest;
+using service::Matcher;
 using service::RepositorySnapshot;
 
 const char* kSpecs[] = {
@@ -142,16 +142,16 @@ void ExpectEquivalentToScratch(
                      snapshot->forest());
 
   // Query-for-query: identical mappings, ranks, and scores.
-  MatchService incremental(snapshot);
-  MatchService fresh(*scratch);
+  Matcher incremental(snapshot);
+  Matcher fresh(*scratch);
   for (size_t s = 0; s < kNumSpecs; ++s) {
-    MatchQuery query;
+    MatchRequest query;
     query.id = "eq-" + std::to_string(s);
     query.personal = *schema::ParseTreeSpec(kSpecs[s]);
     query.options.delta = 0.6;
     query.options.top_n = 10;
-    auto got = incremental.Match(query);
-    auto want = fresh.Match(query);
+    auto got = incremental.RunOn(incremental.Pin(), query, {});
+    auto want = fresh.RunOn(fresh.Pin(), query, {});
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     ExpectSameMatchResults(*got, *want);

@@ -25,7 +25,7 @@
 #include "repo/synthetic.h"
 #include "schema/schema_forest.h"
 #include "schema/schema_tree.h"
-#include "service/match_service.h"
+#include "service/matcher.h"
 #include "store/snapshot_store.h"
 #include "util/io.h"
 #include "wal/wal.h"
@@ -431,7 +431,7 @@ TEST_F(WalRecoveryTest, DamagedJournalsAreRefusedTyped) {
   }
 }
 
-// Service-level recovery: MatchService::Recover returns a chain that
+// Service-level recovery: Matcher::Recover returns a chain that
 // answers queries identically to the uninterrupted service.
 TEST_F(WalRecoveryTest, RecoveredServiceAnswersQueriesIdentically) {
   TempDir dir("queries");
@@ -455,15 +455,15 @@ TEST_F(WalRecoveryTest, RecoveredServiceAnswersQueriesIdentically) {
 
   RecoveryReport report;
   auto recovered_service =
-      service::MatchService::Recover(Env::Default(), snap, wal, options,
-                                     &report);
+      service::Matcher::Recover(Env::Default(), snap, wal, options,
+                                &report);
   ASSERT_TRUE(recovered_service.ok())
       << recovered_service.status().ToString();
   ASSERT_GE((*recovered_service)->CurrentGeneration(),
             outcome.acked_generation);
   ASSERT_TRUE((*recovered_service)->wal_attached());
   const uint64_t gen = (*recovered_service)->CurrentGeneration();
-  EXPECT_EQ((*recovered_service)->CurrentSnapshot()->fingerprint(),
+  EXPECT_EQ((*recovered_service)->Pin()->fingerprint(),
             ref_->fingerprint[gen]);
 
   // Reference service at the same generation, built uninterrupted.
@@ -472,7 +472,7 @@ TEST_F(WalRecoveryTest, RecoveredServiceAnswersQueriesIdentically) {
   for (size_t i = 0; i < gen; ++i) {
     ASSERT_TRUE((*reference_manager)->Apply((*deltas_)[i]).ok());
   }
-  service::MatchService reference(std::move(*reference_manager), options);
+  service::Matcher reference(std::move(*reference_manager), options);
 
   const char* kQuerySpecs[] = {
       "name(address,email)",
@@ -480,12 +480,13 @@ TEST_F(WalRecoveryTest, RecoveredServiceAnswersQueriesIdentically) {
       "order(id,lines)",
   };
   for (const char* spec : kQuerySpecs) {
-    service::MatchQuery query;
+    service::MatchRequest query;
     query.id = std::string("recovery:") + spec;
     query.personal = Spec(spec);
     query.options.delta = 0.6;
-    auto got = (*recovered_service)->Match(query);
-    auto want = reference.Match(query);
+    auto got =
+        (*recovered_service)->RunOn((*recovered_service)->Pin(), query, {});
+    auto want = reference.RunOn(reference.Pin(), query, {});
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     ASSERT_EQ(got->mappings.size(), want->mappings.size()) << spec;
@@ -502,11 +503,11 @@ TEST_F(WalRecoveryTest, RecoveredServiceAnswersQueriesIdentically) {
   auto applied = (*recovered_service)->ApplyDelta((*deltas_)[gen]);
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   recovered_service->reset();  // SIGKILL again
-  auto again = service::MatchService::Recover(Env::Default(), snap, wal,
-                                              options);
+  auto again = service::Matcher::Recover(Env::Default(), snap, wal,
+                                         options);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ((*again)->CurrentGeneration(), gen + 1);
-  EXPECT_EQ((*again)->CurrentSnapshot()->fingerprint(),
+  EXPECT_EQ((*again)->Pin()->fingerprint(),
             ref_->fingerprint[gen + 1]);
 }
 

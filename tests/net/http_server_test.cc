@@ -151,7 +151,7 @@ TEST_F(HttpServerTest, StreamedMatchIsEventIdenticalToInProcessRun) {
   // forest, identical options, identical seeds — the events must be
   // byte-identical modulo wall-clock "ms" fields.
   TenantRegistryOptions options = RegistryOptions();
-  auto service = service::MatchService::Create(*forest_, options.service);
+  auto service = service::Matcher::Create(*forest_, options.service);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   service::ServeSession session(service->get(), options.session);
   auto query = session.ParseQuery(kQueryLine, 0);
@@ -180,10 +180,10 @@ TEST_F(HttpServerTest, BatchMatchesInProcessBatch) {
   std::vector<std::string> http_events = SplitLines(response->body);
 
   TenantRegistryOptions options = RegistryOptions();
-  auto service = service::MatchService::Create(*forest_, options.service);
+  auto service = service::Matcher::Create(*forest_, options.service);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   service::ServeSession session(service->get(), options.session);
-  std::vector<service::MatchQuery> queries;
+  std::vector<service::MatchRequest> queries;
   size_t index = 0;
   for (const std::string& line : SplitLines(kBatchBody)) {
     auto query = session.ParseQuery(line, index++);
@@ -561,7 +561,7 @@ TEST_F(HttpServerTest, IntegrateStreamIsEventIdenticalToInProcessRun) {
   // identical forest, options, and seeds — events must be byte-identical
   // modulo wall-clock "ms" fields.
   TenantRegistryOptions options = RegistryOptions();
-  auto service = service::MatchService::Create(*forest_, options.service);
+  auto service = service::Matcher::Create(*forest_, options.service);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   service::ServeSession session(service->get(), options.session);
   std::vector<std::string> direct_events;

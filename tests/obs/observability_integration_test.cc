@@ -13,7 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "repo/synthetic.h"
-#include "service/match_service.h"
+#include "service/matcher.h"
 #include "service/serve_session.h"
 
 namespace xsm::service {
@@ -55,7 +55,7 @@ std::string NormalizeTimings(const std::string& line) {
 TEST(ObservabilityIntegrationTest, TracedQueryCarriesStageSpans) {
   MatchServiceOptions options;
   options.num_threads = 2;
-  auto service = MatchService::Create(MakeForest(), options);
+  auto service = Matcher::Create(MakeForest(), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   ServeSessionOptions session_options;
@@ -112,7 +112,7 @@ TEST(ObservabilityIntegrationTest, TraceEventsAreDeterministicModuloTiming) {
   for (int run = 0; run < 2; ++run) {
     MatchServiceOptions options;
     options.num_threads = 2;
-    auto service = MatchService::Create(MakeForest(), options);
+    auto service = Matcher::Create(MakeForest(), options);
     ASSERT_TRUE(service.ok());
     ServeSessionOptions session_options;
     session_options.trace_events = true;
@@ -142,7 +142,7 @@ TEST(ObservabilityIntegrationTest, RegistryAgreesWithServiceStats) {
   options.num_threads = 2;
   options.metrics = &registry;
   options.metrics_tenant = "t1";
-  auto service = MatchService::Create(MakeForest(), options);
+  auto service = Matcher::Create(MakeForest(), options);
   ASSERT_TRUE(service.ok());
 
   ServeSessionOptions session_options;
@@ -174,7 +174,7 @@ TEST(ObservabilityIntegrationTest, MetricsCommandAndSlowQueryLog) {
   options.num_threads = 2;
   // Every query is "slow" at a zero-adjacent threshold.
   options.slow_query_ms = 0.0001;
-  auto service = MatchService::Create(MakeForest(), options);
+  auto service = Matcher::Create(MakeForest(), options);
   ASSERT_TRUE(service.ok());
 
   ServeSessionOptions session_options;
@@ -223,7 +223,7 @@ TEST(ObservabilityIntegrationTest, DisabledMetricsStillCounts) {
   options.num_threads = 2;
   options.enable_metrics = false;
   options.slow_query_ms = 0.0001;
-  auto service = MatchService::Create(MakeForest(), options);
+  auto service = Matcher::Create(MakeForest(), options);
   ASSERT_TRUE(service.ok());
 
   ServeSessionOptions session_options;

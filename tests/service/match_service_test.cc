@@ -1,4 +1,4 @@
-#include "service/match_service.h"
+#include "service/matcher.h"
 
 #include <gtest/gtest.h>
 
@@ -47,8 +47,8 @@ class MatchServiceTest : public ::testing::Test {
     forest_ = nullptr;
   }
 
-  static MatchQuery MakeQuery(const std::string& id, const char* spec) {
-    MatchQuery query;
+  static MatchRequest MakeQuery(const std::string& id, const char* spec) {
+    MatchRequest query;
     query.id = id;
     auto personal = schema::ParseTreeSpec(spec);
     EXPECT_TRUE(personal.ok()) << personal.status().ToString();
@@ -58,11 +58,17 @@ class MatchServiceTest : public ::testing::Test {
     return query;
   }
 
-  static std::unique_ptr<MatchService> MakeService(
+  static std::unique_ptr<Matcher> MakeService(
       MatchServiceOptions options = MatchServiceOptions()) {
     auto snapshot = RepositorySnapshot::Create(*forest_);
     EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    return std::make_unique<MatchService>(std::move(*snapshot), options);
+    return std::make_unique<Matcher>(std::move(*snapshot), options);
+  }
+
+  // At K = 1 the pin is the current snapshot itself.
+  static std::shared_ptr<const RepositorySnapshot> SnapshotOf(
+      const Matcher& service) {
+    return std::dynamic_pointer_cast<const RepositorySnapshot>(service.Pin());
   }
 
   // Byte-identical comparison: same assignments AND the exact same doubles.
@@ -91,11 +97,34 @@ class MatchServiceTest : public ::testing::Test {
 schema::SchemaForest* MatchServiceTest::forest_ = nullptr;
 core::Bellflower* MatchServiceTest::direct_ = nullptr;
 
+TEST_F(MatchServiceTest, PinAtOneShardIsTheCurrentSnapshot) {
+  auto service = MakeService();
+  ASSERT_EQ(service->options().shards, 1u);
+  // Callers that read the name dictionary or the snapshot's own engine
+  // (the traced replay beneath the HTTP surface) rely on this cast.
+  RepositoryPinPtr pin = service->Pin();
+  const auto* snapshot = dynamic_cast<const RepositorySnapshot*>(pin.get());
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_EQ(snapshot->fingerprint(), service->Pin()->fingerprint());
+
+  // A delta publishes a new snapshot, and the pin follows it.
+  live::DeltaBuilder builder;
+  builder.AddTree(*schema::ParseTreeSpec("invoice(number,total)"));
+  auto delta = builder.Build();
+  ASSERT_TRUE(delta.ok());
+  auto report = service->ApplyDelta(*delta);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  RepositoryPinPtr next = service->Pin();
+  EXPECT_NE(next.get(), pin.get());
+  EXPECT_EQ(next.get(), report->snapshot.get());
+  EXPECT_NE(dynamic_cast<const RepositorySnapshot*>(next.get()), nullptr);
+}
+
 TEST_F(MatchServiceTest, MatchEqualsDirectBellflower) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("q0", kSpecs[0]);
+  MatchRequest query = MakeQuery("q0", kSpecs[0]);
 
-  auto via_service = service->Match(query);
+  auto via_service = service->RunOn(service->Pin(), query, {});
   ASSERT_TRUE(via_service.ok()) << via_service.status().ToString();
   auto via_direct = direct_->Match(query.personal, query.options);
   ASSERT_TRUE(via_direct.ok()) << via_direct.status().ToString();
@@ -112,14 +141,14 @@ TEST_F(MatchServiceTest, BatchOnFourThreadsIsByteIdenticalAndInOrder) {
   options.num_threads = 4;
   auto service = MakeService(options);
 
-  std::vector<MatchQuery> queries;
+  std::vector<MatchRequest> queries;
   for (size_t i = 0; i < kNumSpecs; ++i) {
     queries.push_back(MakeQuery("batch-" + std::to_string(i), kSpecs[i]));
   }
   ASSERT_GE(queries.size(), 8u);
 
   std::vector<Result<core::MatchResult>> batch =
-      service->MatchBatch(queries).results;
+      service->RunBatch(queries).results;
   ASSERT_EQ(batch.size(), queries.size());
 
   size_t nonempty = 0;
@@ -137,11 +166,11 @@ TEST_F(MatchServiceTest, BatchOnFourThreadsIsByteIdenticalAndInOrder) {
 
 TEST_F(MatchServiceTest, RepeatedQueryHitsClusterCache) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("repeat", kSpecs[1]);
+  MatchRequest query = MakeQuery("repeat", kSpecs[1]);
 
-  auto first = service->Match(query);
+  auto first = service->RunOn(service->Pin(), query, {});
   ASSERT_TRUE(first.ok());
-  auto second = service->Match(query);
+  auto second = service->RunOn(service->Pin(), query, {});
   ASSERT_TRUE(second.ok());
   ExpectSameResults(*second, *first);
 
@@ -153,46 +182,46 @@ TEST_F(MatchServiceTest, RepeatedQueryHitsClusterCache) {
 
 TEST_F(MatchServiceTest, GenerationOnlyOptionsShareClusterState) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("gen-a", kSpecs[2]);
-  ASSERT_TRUE(service->Match(query).ok());
+  MatchRequest query = MakeQuery("gen-a", kSpecs[2]);
+  ASSERT_TRUE(service->RunOn(service->Pin(), query, {}).ok());
 
   // δ and top-N only affect the generation phase: same cache entry.
-  MatchQuery variant = query;
+  MatchRequest variant = query;
   variant.id = "gen-b";
   variant.options.delta = 0.8;
   variant.options.top_n = 3;
   EXPECT_EQ(service->ClusterStateKey(variant),
             service->ClusterStateKey(query));
-  ASSERT_TRUE(service->Match(variant).ok());
+  ASSERT_TRUE(service->RunOn(service->Pin(), variant, {}).ok());
   EXPECT_EQ(service->stats().cache.misses, 1u);
   EXPECT_EQ(service->stats().cache.hits, 1u);
 
   // A clustering knob (join distance) changes the key: new entry.
-  MatchQuery reclustered = query;
+  MatchRequest reclustered = query;
   reclustered.id = "gen-c";
   reclustered.options.kmeans.join_distance = 4;
   EXPECT_NE(service->ClusterStateKey(reclustered),
             service->ClusterStateKey(query));
-  ASSERT_TRUE(service->Match(reclustered).ok());
+  ASSERT_TRUE(service->RunOn(service->Pin(), reclustered, {}).ok());
   EXPECT_EQ(service->stats().cache.misses, 2u);
 }
 
 TEST_F(MatchServiceTest, TreeClusterBaselineIgnoresKMeansKnobs) {
   auto service = MakeService();
-  MatchQuery a = MakeQuery("tree-a", kSpecs[3]);
+  MatchRequest a = MakeQuery("tree-a", kSpecs[3]);
   a.options.clustering = core::ClusteringMode::kTreeClusters;
-  MatchQuery b = a;
+  MatchRequest b = a;
   b.id = "tree-b";
   b.options.kmeans.join_distance = 2;
   b.options.kmeans.seed = 999;
   EXPECT_EQ(service->ClusterStateKey(a), service->ClusterStateKey(b));
 }
 
-TEST_F(MatchServiceTest, SubmitMatchResolvesToSameResult) {
+TEST_F(MatchServiceTest, SubmitResolvesToSameResult) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("async", kSpecs[4]);
+  MatchRequest query = MakeQuery("async", kSpecs[4]);
 
-  MatchHandle handle = service->SubmitMatch(query);
+  MatchHandle handle = service->Submit(service->Pin(), query);
   auto async_result = handle.Get();
   ASSERT_TRUE(async_result.ok()) << async_result.status().ToString();
   EXPECT_EQ(async_result->execution, core::ExecutionStatus::kCompleted);
@@ -206,11 +235,11 @@ TEST_F(MatchServiceTest, IdenticalQueriesInBatchComputeStateOnce) {
   options.num_threads = 8;
   auto service = MakeService(options);
 
-  std::vector<MatchQuery> queries;
+  std::vector<MatchRequest> queries;
   for (int i = 0; i < 16; ++i) {
     queries.push_back(MakeQuery("same-" + std::to_string(i), kSpecs[5]));
   }
-  auto results = service->MatchBatch(std::move(queries)).results;
+  auto results = service->RunBatch(std::move(queries)).results;
 
   ASSERT_TRUE(results[0].ok());
   for (size_t i = 1; i < results.size(); ++i) {
@@ -227,21 +256,21 @@ TEST_F(MatchServiceTest, DerivedSeedsAreDeterministicPerQueryId) {
   options.num_threads = 4;
   auto service = MakeService(options);
 
-  MatchQuery query = MakeQuery("rand-1", kSpecs[6]);
+  MatchRequest query = MakeQuery("rand-1", kSpecs[6]);
   query.options.kmeans.init = cluster::CentroidInit::kRandom;
   query.options.kmeans.num_centroids = 40;
 
   // Re-running the same id reproduces the result exactly (cache cleared in
   // between, so clustering really reruns with the derived seed).
-  auto first = service->Match(query);
+  auto first = service->RunOn(service->Pin(), query, {});
   ASSERT_TRUE(first.ok());
   service->ClearCache();
-  auto again = service->Match(query);
+  auto again = service->RunOn(service->Pin(), query, {});
   ASSERT_TRUE(again.ok());
   ExpectSameResults(*again, *first);
 
   // A different query id derives a different seed.
-  MatchQuery other = query;
+  MatchRequest other = query;
   other.id = "rand-2";
   EXPECT_NE(service->EffectiveOptions(other).kmeans.seed,
             service->EffectiveOptions(query).kmeans.seed);
@@ -259,10 +288,10 @@ TEST_F(MatchServiceTest, DisabledCacheStillCorrect) {
   MatchServiceOptions options;
   options.cluster_cache_capacity = 0;
   auto service = MakeService(options);
-  MatchQuery query = MakeQuery("nocache", kSpecs[7]);
+  MatchRequest query = MakeQuery("nocache", kSpecs[7]);
 
-  auto first = service->Match(query);
-  auto second = service->Match(query);
+  auto first = service->RunOn(service->Pin(), query, {});
+  auto second = service->RunOn(service->Pin(), query, {});
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   ExpectSameResults(*second, *first);
@@ -272,9 +301,9 @@ TEST_F(MatchServiceTest, DisabledCacheStillCorrect) {
 
 TEST_F(MatchServiceTest, InvalidQueryPropagatesStatus) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("bad", kSpecs[0]);
+  MatchRequest query = MakeQuery("bad", kSpecs[0]);
   query.options.delta = 1.5;
-  auto result = service->Match(query);
+  auto result = service->RunOn(service->Pin(), query, {});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   // Rejected before the expensive build: nothing computed, nothing cached.
@@ -287,9 +316,9 @@ TEST_F(MatchServiceTest, DelimiterNamesDoNotCollideInCacheKey) {
   // ':' is legal in XML names (namespaces). Unprefixed concatenation would
   // serialize both of these children as "...a:0:b:0::00;" — one cache key
   // for two different schemas; length-prefixing keeps them distinct.
-  MatchQuery a = MakeQuery("colon-a", "root(child)");
+  MatchRequest a = MakeQuery("colon-a", "root(child)");
   a.personal.mutable_props(1)->name = "a:0:b";
-  MatchQuery b = MakeQuery("colon-b", "root(child)");
+  MatchRequest b = MakeQuery("colon-b", "root(child)");
   b.personal.mutable_props(1)->name = "a";
   b.personal.mutable_props(1)->datatype = "b:0:";
   EXPECT_NE(service->ClusterStateKey(a), service->ClusterStateKey(b));
@@ -302,22 +331,22 @@ TEST_F(MatchServiceTest, InjectsSnapshotDictionaryAndMatchingPool) {
 
   // EffectiveOptions wires the snapshot's name dictionary and the dedicated
   // matching pool into every query that didn't bring its own.
-  MatchQuery query = MakeQuery("plumbed", kSpecs[0]);
+  MatchRequest query = MakeQuery("plumbed", kSpecs[0]);
   core::MatchOptions effective = service->EffectiveOptions(query);
   EXPECT_EQ(effective.element.dictionary,
-            &service->CurrentSnapshot()->name_dictionary());
+            &SnapshotOf(*service)->name_dictionary());
   ASSERT_NE(effective.element.pool, nullptr);
   EXPECT_EQ(effective.element.pool->num_threads(), 2u);
 
   // The plumbing is result-neutral: byte-identical to the direct pipeline
-  // and to a serial-matching service, including through MatchBatch.
+  // and to a serial-matching service, including through RunBatch.
   auto serial_service = MakeService();
-  std::vector<MatchQuery> queries;
+  std::vector<MatchRequest> queries;
   for (size_t s = 0; s < kNumSpecs; ++s) {
     queries.push_back(MakeQuery("plumb-" + std::to_string(s), kSpecs[s]));
   }
-  auto parallel_results = service->MatchBatch(queries).results;
-  auto serial_results = serial_service->MatchBatch(queries).results;
+  auto parallel_results = service->RunBatch(queries).results;
+  auto serial_results = serial_service->RunBatch(queries).results;
   ASSERT_EQ(parallel_results.size(), serial_results.size());
   for (size_t i = 0; i < parallel_results.size(); ++i) {
     ASSERT_TRUE(parallel_results[i].ok());
@@ -337,7 +366,7 @@ TEST_F(MatchServiceTest, InjectsSnapshotDictionaryAndMatchingPool) {
 
 TEST_F(MatchServiceTest, QuerySuppliedElementControlCannotPoisonCache) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("ctl", kSpecs[0]);
+  MatchRequest query = MakeQuery("ctl", kSpecs[0]);
   core::ExecutionControl cancelled;
   cancelled.cancel.Cancel();
   query.options.element.control = &cancelled;
@@ -345,7 +374,7 @@ TEST_F(MatchServiceTest, QuerySuppliedElementControlCannotPoisonCache) {
   // completes, the query succeeds, and the cancelled control never reaches
   // a build that other queries could share.
   EXPECT_EQ(service->EffectiveOptions(query).element.control, nullptr);
-  auto result = service->Match(query);
+  auto result = service->RunOn(service->Pin(), query, {});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->execution, core::ExecutionStatus::kCompleted);
   EXPECT_FALSE(result->mappings.empty());
@@ -353,8 +382,8 @@ TEST_F(MatchServiceTest, QuerySuppliedElementControlCannotPoisonCache) {
 
 TEST_F(MatchServiceTest, SnapshotDictionaryMatchesForest) {
   auto service = MakeService();
-  std::shared_ptr<const RepositorySnapshot> snapshot =
-      service->CurrentSnapshot();
+  std::shared_ptr<const RepositorySnapshot> snapshot = SnapshotOf(*service);
+  ASSERT_NE(snapshot, nullptr);
   const match::NameDictionary& dict = snapshot->name_dictionary();
   EXPECT_EQ(dict.forest(), &snapshot->forest());
   EXPECT_EQ(dict.total_nodes(), snapshot->total_nodes());
@@ -364,10 +393,10 @@ TEST_F(MatchServiceTest, SnapshotDictionaryMatchesForest) {
 
 TEST_F(MatchServiceTest, CreateValidatesForest) {
   schema::SchemaForest empty;
-  auto service = MatchService::Create(std::move(empty));
+  auto service = Matcher::Create(std::move(empty));
   ASSERT_TRUE(service.ok());  // empty repository is valid, just matchless
-  MatchQuery query = MakeQuery("empty", kSpecs[0]);
-  auto result = (*service)->Match(query);
+  MatchRequest query = MakeQuery("empty", kSpecs[0]);
+  auto result = (*service)->RunOn((*service)->Pin(), query, {});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->mappings.empty());
 }
@@ -377,7 +406,7 @@ TEST_F(MatchServiceTest, CreateValidatesForest) {
 TEST_F(MatchServiceTest, ApplyDeltaPublishesNewGeneration) {
   auto service = MakeService();
   EXPECT_EQ(service->CurrentGeneration(), 0u);
-  const uint64_t fp0 = service->CurrentSnapshot()->fingerprint();
+  const uint64_t fp0 = service->Pin()->fingerprint();
 
   // A tree hand-tailored to dominate one query's result.
   live::DeltaBuilder builder;
@@ -387,21 +416,21 @@ TEST_F(MatchServiceTest, ApplyDeltaPublishesNewGeneration) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->generation, 1u);
   EXPECT_EQ(service->CurrentGeneration(), 1u);
-  EXPECT_NE(service->CurrentSnapshot()->fingerprint(), fp0);
+  EXPECT_NE(service->Pin()->fingerprint(), fp0);
 
   // New queries see the ingested tree: an exact-match mapping at Δ = 1.
   // Baseline clustering, so the tiny 3-node tree cannot be dropped by
   // k-means cluster-size heuristics — this asserts visibility, not
   // clustering behaviour.
-  MatchQuery query = MakeQuery("after-delta", kSpecs[0]);
+  MatchRequest query = MakeQuery("after-delta", kSpecs[0]);
   query.options.clustering = core::ClusteringMode::kTreeClusters;
-  auto result = service->Match(query);
+  auto result = service->RunOn(service->Pin(), query, {});
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->mappings.empty());
   EXPECT_EQ(result->mappings[0].delta, 1.0);
   EXPECT_EQ(result->mappings[0].tree,
             static_cast<schema::TreeId>(
-                service->CurrentSnapshot()->num_trees() - 1));
+                service->Pin()->num_trees() - 1));
 
   ServiceStats stats = service->stats();
   EXPECT_EQ(stats.generation, 1u);
@@ -411,15 +440,15 @@ TEST_F(MatchServiceTest, ApplyDeltaPublishesNewGeneration) {
 // A batch records which snapshot served it: generation + fingerprint of the
 // one pin all members ran against (integration provenance reads these
 // instead of racing CurrentGeneration() against concurrent deltas).
-TEST_F(MatchServiceTest, MatchBatchSurfacesPinnedGeneration) {
+TEST_F(MatchServiceTest, RunBatchSurfacesPinnedGeneration) {
   auto service = MakeService();
 
-  std::vector<MatchQuery> queries;
+  std::vector<MatchRequest> queries;
   queries.push_back(MakeQuery("pin-0", kSpecs[0]));
   queries.push_back(MakeQuery("pin-1", kSpecs[1]));
-  BatchMatchResult before = service->MatchBatch(queries);
+  BatchMatchResult before = service->RunBatch(queries);
   EXPECT_EQ(before.generation, 0u);
-  EXPECT_EQ(before.fingerprint, service->CurrentSnapshot()->fingerprint());
+  EXPECT_EQ(before.fingerprint, service->Pin()->fingerprint());
   ASSERT_EQ(before.results.size(), queries.size());
 
   live::DeltaBuilder builder;
@@ -427,17 +456,17 @@ TEST_F(MatchServiceTest, MatchBatchSurfacesPinnedGeneration) {
                   "feed:pin");
   ASSERT_TRUE(service->ApplyDelta(*builder.Build()).ok());
 
-  BatchMatchResult after = service->MatchBatch(queries);
+  BatchMatchResult after = service->RunBatch(queries);
   EXPECT_EQ(after.generation, 1u);
-  EXPECT_EQ(after.fingerprint, service->CurrentSnapshot()->fingerprint());
+  EXPECT_EQ(after.fingerprint, service->Pin()->fingerprint());
   EXPECT_NE(after.fingerprint, before.fingerprint);
 }
 
 TEST_F(MatchServiceTest, DeltaInvalidatesCacheByNamespaceNotByKey) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("ns", kSpecs[1]);
-  ASSERT_TRUE(service->Match(query).ok());
-  ASSERT_TRUE(service->Match(query).ok());
+  MatchRequest query = MakeQuery("ns", kSpecs[1]);
+  ASSERT_TRUE(service->RunOn(service->Pin(), query, {}).ok());
+  ASSERT_TRUE(service->RunOn(service->Pin(), query, {}).ok());
   EXPECT_EQ(service->stats().cache.misses, 1u);
   EXPECT_EQ(service->stats().cache.hits, 1u);
   const std::string key_before = service->ClusterStateKey(query);
@@ -450,8 +479,8 @@ TEST_F(MatchServiceTest, DeltaInvalidatesCacheByNamespaceNotByKey) {
   // namespace, so the changed repository recomputes instead of serving the
   // stale state.
   EXPECT_EQ(service->ClusterStateKey(query), key_before);
-  ASSERT_TRUE(service->Match(query).ok());
-  ASSERT_TRUE(service->Match(query).ok());
+  ASSERT_TRUE(service->RunOn(service->Pin(), query, {}).ok());
+  ASSERT_TRUE(service->RunOn(service->Pin(), query, {}).ok());
   ServiceStats stats = service->stats();
   EXPECT_EQ(stats.cache.misses, 2u);
   EXPECT_EQ(stats.cache.hits, 2u);
@@ -460,8 +489,9 @@ TEST_F(MatchServiceTest, DeltaInvalidatesCacheByNamespaceNotByKey) {
 
 TEST_F(MatchServiceTest, RevertedDeltaRevivesWarmCache) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("revert", kSpecs[2]);
-  ASSERT_TRUE(service->Match(query).ok());  // miss, warms gen-0 namespace
+  MatchRequest query = MakeQuery("revert", kSpecs[2]);
+  // Miss: warms the gen-0 namespace.
+  ASSERT_TRUE(service->RunOn(service->Pin(), query, {}).ok());
 
   // Add a tree, then remove it again: the final content equals gen 0, so
   // its fingerprint — and its warm cache — come back.
@@ -475,9 +505,9 @@ TEST_F(MatchServiceTest, RevertedDeltaRevivesWarmCache) {
   auto r2 = service->ApplyDelta(*remove.Build());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->generation, 2u);
-  EXPECT_EQ(r2->fingerprint, service->CurrentSnapshot()->fingerprint());
+  EXPECT_EQ(r2->fingerprint, service->Pin()->fingerprint());
 
-  ASSERT_TRUE(service->Match(query).ok());
+  ASSERT_TRUE(service->RunOn(service->Pin(), query, {}).ok());
   ServiceStats stats = service->stats();
   EXPECT_EQ(stats.cache.misses, 1u);  // no recompute: namespace revived
   EXPECT_EQ(stats.cache.hits, 1u);
@@ -513,14 +543,14 @@ TEST_F(MatchServiceTest, ConcurrentApplyDeltaAndBatchesStayConsistent) {
   constexpr int kGenerations = 4;  // gen 0 .. 3
   // Quiesced ground truth per generation, keyed by total node count:
   // independent services over deep-equal content.
-  std::vector<std::unique_ptr<MatchService>> quiesced;
+  std::vector<std::unique_ptr<Matcher>> quiesced;
   std::vector<size_t> gen_nodes;
   std::vector<live::RepositoryDelta> deltas;
   {
     auto snapshot = RepositorySnapshot::Create(*forest_);
     ASSERT_TRUE(snapshot.ok());
     quiesced.push_back(
-        std::make_unique<MatchService>(std::move(*snapshot)));
+        std::make_unique<Matcher>(std::move(*snapshot)));
     gen_nodes.push_back(forest_->total_nodes());
   }
   for (int g = 1; g < kGenerations; ++g) {
@@ -541,11 +571,11 @@ TEST_F(MatchServiceTest, ConcurrentApplyDeltaAndBatchesStayConsistent) {
   for (int g = 1; g < kGenerations; ++g) {
     auto twin_snapshot = RepositorySnapshot::Create(*forest_);
     ASSERT_TRUE(twin_snapshot.ok());
-    auto twin = std::make_unique<MatchService>(std::move(*twin_snapshot));
+    auto twin = std::make_unique<Matcher>(std::move(*twin_snapshot));
     for (int d = 0; d < g; ++d) {
       ASSERT_TRUE(twin->ApplyDelta(deltas[static_cast<size_t>(d)]).ok());
     }
-    gen_nodes.push_back(twin->CurrentSnapshot()->total_nodes());
+    gen_nodes.push_back(twin->Pin()->total_nodes());
     quiesced.push_back(std::move(twin));
   }
   // The node-count → generation mapping must be unambiguous for the check.
@@ -559,14 +589,14 @@ TEST_F(MatchServiceTest, ConcurrentApplyDeltaAndBatchesStayConsistent) {
   // Fire a stream of async queries while deltas land between waves; the
   // submissions interleave with publications across the pool.
   std::vector<MatchHandle> handles;
-  std::vector<MatchQuery> submitted;
+  std::vector<MatchRequest> submitted;
   for (int g = 1; g < kGenerations; ++g) {
     for (int burst = 0; burst < 6; ++burst) {
-      MatchQuery query = MakeQuery(
+      MatchRequest query = MakeQuery(
           "live-" + std::to_string(g) + "-" + std::to_string(burst),
           kSpecs[burst % kNumSpecs]);
       submitted.push_back(query);
-      handles.push_back(service->SubmitMatch(query));
+      handles.push_back(service->Submit(service->Pin(), query));
     }
     ASSERT_TRUE(service->ApplyDelta(deltas[static_cast<size_t>(g - 1)]).ok());
   }
@@ -584,7 +614,8 @@ TEST_F(MatchServiceTest, ConcurrentApplyDeltaAndBatchesStayConsistent) {
     }
     ASSERT_LT(gen, gen_nodes.size()) << "result saw an unknown repository";
     // ...and demand equality with that generation's quiesced run.
-    auto expected = quiesced[gen]->Match(submitted[i]);
+    auto expected =
+        quiesced[gen]->RunOn(quiesced[gen]->Pin(), submitted[i], {});
     ASSERT_TRUE(expected.ok());
     ExpectSameResults(*result, *expected);
   }

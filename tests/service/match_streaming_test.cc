@@ -1,7 +1,8 @@
-// Streaming / anytime MatchService execution: MatchStreaming, cancellable
-// SubmitMatch handles, the default per-query deadline, and the acceptance
-// stress test that cancellation can never poison the ClusterIndexCache.
-#include "service/match_service.h"
+// Streaming / anytime Matcher execution: RunOn with an observer,
+// cancellable Submit handles, the default per-query deadline, and the
+// acceptance stress test that cancellation can never poison the
+// ClusterIndexCache.
+#include "service/matcher.h"
 
 #include <gtest/gtest.h>
 
@@ -51,9 +52,9 @@ class MatchStreamingTest : public ::testing::Test {
     forest_ = nullptr;
   }
 
-  static MatchQuery MakeQuery(const std::string& id,
-                              const char* spec = "name(address,email)") {
-    MatchQuery query;
+  static MatchRequest MakeQuery(const std::string& id,
+                                const char* spec = "name(address,email)") {
+    MatchRequest query;
     query.id = id;
     auto personal = schema::ParseTreeSpec(spec);
     EXPECT_TRUE(personal.ok()) << personal.status().ToString();
@@ -62,11 +63,11 @@ class MatchStreamingTest : public ::testing::Test {
     return query;
   }
 
-  static std::unique_ptr<MatchService> MakeService(
+  static std::unique_ptr<Matcher> MakeService(
       MatchServiceOptions options = MatchServiceOptions()) {
     auto snapshot = RepositorySnapshot::Create(*forest_);
     EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    return std::make_unique<MatchService>(std::move(*snapshot), options);
+    return std::make_unique<Matcher>(std::move(*snapshot), options);
   }
 
   static void ExpectSameResults(const core::MatchResult& got,
@@ -89,14 +90,14 @@ schema::SchemaForest* MatchStreamingTest::forest_ = nullptr;
 
 TEST_F(MatchStreamingTest, StreamingEqualsBlockingMatch) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("stream");
+  MatchRequest query = MakeQuery("stream");
 
-  auto blocking = service->Match(query);
+  auto blocking = service->RunOn(service->Pin(), query, {});
   ASSERT_TRUE(blocking.ok()) << blocking.status().ToString();
   ASSERT_FALSE(blocking->mappings.empty());
 
   CollectingObserver observer;
-  auto streaming = service->MatchStreaming(query, &observer);
+  auto streaming = service->RunOn(service->Pin(), query, {}, &observer);
   ASSERT_TRUE(streaming.ok()) << streaming.status().ToString();
   EXPECT_EQ(streaming->execution, core::ExecutionStatus::kCompleted);
   ExpectSameResults(*streaming, *blocking);
@@ -124,7 +125,7 @@ TEST_F(MatchStreamingTest, HandleCancelBeforeExecutionSkipsAllWork) {
     cv.wait(lock, [&]() { return blocker_running; });
   }
 
-  MatchHandle handle = service->SubmitMatch(MakeQuery("queued"));
+  MatchHandle handle = service->Submit(service->Pin(), MakeQuery("queued"));
   handle.Cancel();  // lands while the query is still in the queue
   {
     std::unique_lock<std::mutex> lock(mu);
@@ -143,16 +144,16 @@ TEST_F(MatchStreamingTest, HandleCancelBeforeExecutionSkipsAllWork) {
 
 TEST_F(MatchStreamingTest, CancelMidGenerationReturnsPartialResults) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("midrun");
+  MatchRequest query = MakeQuery("midrun");
 
-  auto blocking = service->Match(query);
+  auto blocking = service->RunOn(service->Pin(), query, {});
   ASSERT_TRUE(blocking.ok());
   ASSERT_GT(blocking->mappings.size(), 1u);
 
   core::ExecutionControl control;
   CollectingObserver observer;
   observer.cancel_after_first_mapping = &control.cancel;
-  auto result = service->MatchStreaming(query, &observer, control);
+  auto result = service->RunOn(service->Pin(), query, control, &observer);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->execution, core::ExecutionStatus::kCancelled);
   EXPECT_GE(result->mappings.size(), 1u);
@@ -162,7 +163,7 @@ TEST_F(MatchStreamingTest, CancelMidGenerationReturnsPartialResults) {
   // (uncancelled) identical query hits the cache and reproduces the
   // blocking result byte-for-byte.
   uint64_t hits_before = service->stats().cache.hits;
-  auto again = service->Match(query);
+  auto again = service->RunOn(service->Pin(), query, {});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->execution, core::ExecutionStatus::kCompleted);
   ExpectSameResults(*again, *blocking);
@@ -174,15 +175,16 @@ TEST_F(MatchStreamingTest, DefaultDeadlineExpiresQueries) {
   options.default_deadline_seconds = 1e-9;  // expires immediately
   auto service = MakeService(options);
 
-  auto result = service->Match(MakeQuery("expired"));
+  auto result = service->RunOn(service->Pin(), MakeQuery("expired"), {});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->execution, core::ExecutionStatus::kDeadlineExceeded);
   EXPECT_TRUE(result->mappings.empty());
   EXPECT_EQ(service->stats().deadline_exceeded, 1u);
 
   // A caller-supplied deadline wins over the service default.
-  auto generous = service->Match(MakeQuery("generous"),
-                                 core::ExecutionControl::WithDeadline(3600));
+  auto generous =
+      service->RunOn(service->Pin(), MakeQuery("generous"),
+                     core::ExecutionControl::WithDeadline(3600));
   ASSERT_TRUE(generous.ok());
   EXPECT_EQ(generous->execution, core::ExecutionStatus::kCompleted);
   EXPECT_FALSE(generous->mappings.empty());
@@ -192,7 +194,7 @@ TEST_F(MatchStreamingTest, EarlyStopCountsInServiceStats) {
   auto service = MakeService();
   core::ExecutionControl control;
   control.stop_after_n_mappings = 1;
-  auto result = service->Match(MakeQuery("first1"), control);
+  auto result = service->RunOn(service->Pin(), MakeQuery("first1"), control);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->execution, core::ExecutionStatus::kEarlyStopped);
   EXPECT_EQ(result->mappings.size(), 1u);
@@ -206,9 +208,9 @@ TEST_F(MatchStreamingTest, CancellationStressNeverPoisonsCache) {
   MatchServiceOptions options;
   options.num_threads = 4;
   auto service = MakeService(options);
-  MatchQuery query = MakeQuery("stress");
+  MatchRequest query = MakeQuery("stress");
 
-  auto reference = service->Match(query);
+  auto reference = service->RunOn(service->Pin(), query, {});
   ASSERT_TRUE(reference.ok());
   ASSERT_FALSE(reference->mappings.empty());
 
@@ -219,7 +221,7 @@ TEST_F(MatchStreamingTest, CancellationStressNeverPoisonsCache) {
     std::vector<MatchHandle> handles;
     handles.reserve(kConcurrent);
     for (int i = 0; i < kConcurrent; ++i) {
-      handles.push_back(service->SubmitMatch(query));
+      handles.push_back(service->Submit(service->Pin(), query));
     }
     // Cancel every other query while the shared build / generation runs.
     for (int i = 0; i < kConcurrent; i += 2) {
@@ -245,7 +247,7 @@ TEST_F(MatchStreamingTest, CancellationStressNeverPoisonsCache) {
     }
     // Whatever the interleaving, the cache entry (if present) is fully
     // built: a fresh query must hit or rebuild to the exact result.
-    auto after = service->Match(query);
+    auto after = service->RunOn(service->Pin(), query, {});
     ASSERT_TRUE(after.ok());
     ASSERT_EQ(after->execution, core::ExecutionStatus::kCompleted);
     ExpectSameResults(*after, *reference);

@@ -12,7 +12,7 @@
 
 #include "core/execution_control.h"
 #include "repo/synthetic.h"
-#include "service/match_service.h"
+#include "service/matcher.h"
 #include "schema/schema_tree.h"
 
 namespace xsm::service {
@@ -37,7 +37,7 @@ class ServeSessionTest : public ::testing::Test {
   void SetUp() override {
     MatchServiceOptions options;
     options.num_threads = 2;
-    auto service = MatchService::Create(*forest_, options);
+    auto service = Matcher::Create(*forest_, options);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
     service_ = std::move(*service);
   }
@@ -51,7 +51,7 @@ class ServeSessionTest : public ::testing::Test {
     return [events](const std::string& line) { events->push_back(line); };
   }
 
-  std::unique_ptr<MatchService> service_;
+  std::unique_ptr<Matcher> service_;
   static schema::SchemaForest* forest_;
 };
 
@@ -159,7 +159,7 @@ TEST_F(ServeSessionTest, CancelledQueryEmitsCancelledDone) {
 
 TEST_F(ServeSessionTest, RunBatchEmitsDoneEventsInInputOrder) {
   auto session = MakeSession();
-  std::vector<MatchQuery> queries;
+  std::vector<MatchRequest> queries;
   const char* lines[] = {
       "person(name,phone) id=b1 delta=0.6 top=3",
       "book(title,author) id=b2 delta=0.6 top=3",

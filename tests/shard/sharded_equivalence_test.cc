@@ -1,6 +1,6 @@
-// The exactness contract of xsm::shard: for every shard count K and thread
-// count, the sharded backend returns byte-identical results to the
-// unsharded MatchService — same mappings, same ranks, same Δ doubles, same
+// The exactness contract of sharding: for every shard count K and thread
+// count, a K-shard service::Matcher returns byte-identical results to the
+// K = 1 reference — same mappings, same ranks, same Δ doubles, same
 // deterministic stats — because element matching scatters per shard (each
 // shard's dictionary over its own forest concatenates into the global one)
 // and clustering + generation run against the merged global state. The one
@@ -16,14 +16,13 @@
 
 #include "repo/synthetic.h"
 #include "schema/schema_tree.h"
-#include "service/match_service.h"
-#include "shard/sharded_match_service.h"
+#include "service/matcher.h"
 
 namespace xsm::shard {
 namespace {
 
-using service::MatchQuery;
-using service::MatchService;
+using service::MatchRequest;
+using service::Matcher;
 using service::MatchServiceOptions;
 
 const char* kSpecs[] = {
@@ -54,8 +53,8 @@ class ShardedEquivalenceTest : public ::testing::Test {
     forest_ = nullptr;
   }
 
-  static MatchQuery MakeQuery(const std::string& id, const char* spec) {
-    MatchQuery query;
+  static MatchRequest MakeQuery(const std::string& id, const char* spec) {
+    MatchRequest query;
     query.id = id;
     auto personal = schema::ParseTreeSpec(spec);
     EXPECT_TRUE(personal.ok()) << personal.status().ToString();
@@ -65,19 +64,17 @@ class ShardedEquivalenceTest : public ::testing::Test {
     return query;
   }
 
-  static std::unique_ptr<MatchService> MakeReference(
+  static std::unique_ptr<Matcher> MakeReference(
       MatchServiceOptions options = MatchServiceOptions()) {
     auto snapshot = service::RepositorySnapshot::Create(*forest_);
     EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    return std::make_unique<MatchService>(std::move(*snapshot), options);
+    return std::make_unique<Matcher>(std::move(*snapshot), options);
   }
 
-  static std::unique_ptr<ShardedMatchService> MakeSharded(
+  static std::unique_ptr<Matcher> MakeSharded(
       size_t k, MatchServiceOptions options = MatchServiceOptions()) {
-    ShardedOptions shard_options;
-    shard_options.num_shards = k;
-    auto sharded = ShardedMatchService::Create(*forest_, options,
-                                               shard_options);
+    options.shards = k;
+    auto sharded = Matcher::Create(*forest_, options);
     EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
     return std::move(*sharded);
   }
@@ -170,7 +167,7 @@ TEST_F(ShardedEquivalenceTest, TreeClusteringIdenticalAcrossShardCounts) {
   for (size_t k : {1u, 2u, 4u, 8u}) {
     auto sharded = MakeSharded(k, options);
     for (size_t q = 0; q < kNumSpecs; ++q) {
-      MatchQuery query = MakeQuery("q" + std::to_string(q), kSpecs[q]);
+      MatchRequest query = MakeQuery("q" + std::to_string(q), kSpecs[q]);
       query.options.clustering = core::ClusteringMode::kTreeClusters;
       auto want = reference->Run(query);
       auto got = sharded->Run(query);
@@ -190,7 +187,7 @@ TEST_F(ShardedEquivalenceTest, KMeansClusteringIdenticalAcrossShardCounts) {
   for (size_t k : {1u, 3u, 8u}) {
     auto sharded = MakeSharded(k, options);
     for (size_t q = 0; q < kNumSpecs; q += 2) {
-      MatchQuery query = MakeQuery("km" + std::to_string(q), kSpecs[q]);
+      MatchRequest query = MakeQuery("km" + std::to_string(q), kSpecs[q]);
       query.options.clustering = core::ClusteringMode::kKMeans;
       query.options.kmeans.join_distance = 2;
       auto want = reference->Run(query);
@@ -223,7 +220,7 @@ TEST_F(ShardedEquivalenceTest, IdenticalAcrossThreadCounts) {
       options.num_threads = threads;
       auto sharded = MakeSharded(k, options);
       for (size_t q = 0; q < kNumSpecs; ++q) {
-        MatchQuery query = MakeQuery("t" + std::to_string(q), kSpecs[q]);
+        MatchRequest query = MakeQuery("t" + std::to_string(q), kSpecs[q]);
         const bool count_comparable =
             MaterializedCountIsDeterministic(query.options);
         auto got = sharded->Run(std::move(query));
@@ -247,13 +244,13 @@ TEST_F(ShardedEquivalenceTest, RandomizedOptionSweepStaysIdentical) {
   MatchServiceOptions options;
   options.num_threads = 2;
   auto reference = MakeReference(options);
-  std::vector<std::unique_ptr<ShardedMatchService>> backends;
+  std::vector<std::unique_ptr<Matcher>> backends;
   const size_t shard_counts[] = {1, 2, 4, 8};
   for (size_t k : shard_counts) backends.push_back(MakeSharded(k, options));
 
   std::mt19937 rng(271828);
   for (int round = 0; round < 12; ++round) {
-    MatchQuery query =
+    MatchRequest query =
         MakeQuery("r" + std::to_string(round), kSpecs[rng() % kNumSpecs]);
     query.options.delta = 0.45 + 0.05 * static_cast<double>(rng() % 8);
     query.options.top_n = rng() % 3 == 0 ? 0 : 1 + rng() % 12;

@@ -1,8 +1,9 @@
-// ShardedMatchService behaviour beyond raw result equivalence: shard-count
+// service::Matcher at K > 1, beyond raw result equivalence: shard-count
 // edge cases (K=1, K > trees), delta routing + rebalancing, persistence
-// (manifest + per-shard snapshots), crash recovery over per-shard WALs,
-// the batch metrics contract, and serving through ServeSession.
-#include "shard/sharded_match_service.h"
+// (manifest + per-shard snapshots, the manifest's Env), crash recovery over
+// per-shard WALs, format sniffing at boot, the batch metrics contract,
+// traced shard builds, and serving through ServeSession.
+#include "service/matcher.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -15,9 +16,9 @@
 
 #include "live/repository_delta.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "repo/synthetic.h"
 #include "schema/schema_tree.h"
-#include "service/match_service.h"
 #include "service/serve_session.h"
 #include "util/io.h"
 
@@ -25,8 +26,8 @@ namespace xsm::shard {
 namespace {
 
 namespace fs = std::filesystem;
-using service::MatchQuery;
-using service::MatchService;
+using service::MatchRequest;
+using service::Matcher;
 using service::MatchServiceOptions;
 
 class TempDir {
@@ -67,8 +68,8 @@ schema::SchemaTree MakeTree(const char* spec) {
   return std::move(*tree);
 }
 
-MatchQuery MakeQuery(const std::string& id, const char* spec) {
-  MatchQuery query;
+MatchRequest MakeQuery(const std::string& id, const char* spec) {
+  MatchRequest query;
   query.id = id;
   query.personal = MakeTree(spec);
   query.options.delta = 0.55;
@@ -76,12 +77,11 @@ MatchQuery MakeQuery(const std::string& id, const char* spec) {
   return query;
 }
 
-std::unique_ptr<ShardedMatchService> MakeSharded(
+std::unique_ptr<Matcher> MakeSharded(
     const schema::SchemaForest& forest, size_t k,
     MatchServiceOptions options = MatchServiceOptions()) {
-  ShardedOptions shard_options;
-  shard_options.num_shards = k;
-  auto sharded = ShardedMatchService::Create(forest, options, shard_options);
+  options.shards = k;
+  auto sharded = Matcher::Create(forest, options);
   EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
   return std::move(*sharded);
 }
@@ -102,7 +102,7 @@ TEST(ShardedServiceTest, SingleShardIsByteIdenticalToMatchService) {
   schema::SchemaForest forest = MakeCorpus(800, 3);
   auto snapshot = service::RepositorySnapshot::Create(forest);
   ASSERT_TRUE(snapshot.ok());
-  MatchService reference(std::move(*snapshot));
+  Matcher reference(std::move(*snapshot));
   auto sharded = MakeSharded(forest, 1);
 
   // Same content fingerprint means the same cluster cache namespace: a
@@ -111,7 +111,7 @@ TEST(ShardedServiceTest, SingleShardIsByteIdenticalToMatchService) {
   ASSERT_EQ(sharded->Shards().size(), 1u);
   EXPECT_EQ(sharded->Shards()[0].trees, reference.Pin()->num_trees());
 
-  MatchQuery query = MakeQuery("q0", "person(name,email,phone)");
+  MatchRequest query = MakeQuery("q0", "person(name,email,phone)");
   // Same cluster-state key: the caches are interchangeable namespaces.
   EXPECT_EQ(sharded->ClusterStateKey(query), reference.ClusterStateKey(query));
 
@@ -142,7 +142,7 @@ TEST(ShardedServiceTest, MoreShardsThanTreesMergesCleanly) {
 
   auto snapshot = service::RepositorySnapshot::Create(forest);
   ASSERT_TRUE(snapshot.ok());
-  MatchService reference(std::move(*snapshot));
+  Matcher reference(std::move(*snapshot));
   auto sharded = MakeSharded(forest, 6);  // 3 empty tail shards
 
   ASSERT_EQ(sharded->Shards().size(), 6u);
@@ -153,7 +153,7 @@ TEST(ShardedServiceTest, MoreShardsThanTreesMergesCleanly) {
   EXPECT_EQ(trees, 3u);
   EXPECT_EQ(sharded->Pin()->fingerprint(), reference.Pin()->fingerprint());
 
-  MatchQuery query = MakeQuery("q0", "person(name,phone)");
+  MatchRequest query = MakeQuery("q0", "person(name,phone)");
   query.options.delta = 0.4;
   // Baseline clustering: the tiny trees must not be droppable by k-means
   // cluster-size heuristics — this asserts the merge, not clustering.
@@ -172,7 +172,7 @@ TEST(ShardedServiceTest, DeltasTrackUnshardedChainAndRebalance) {
   schema::SchemaForest forest = MakeCorpus(600, 5);
   auto snapshot = service::RepositorySnapshot::Create(forest);
   ASSERT_TRUE(snapshot.ok());
-  MatchService reference(std::move(*snapshot));
+  Matcher reference(std::move(*snapshot));
   auto sharded = MakeSharded(forest, 3);
 
   // A mixed workload: adds (routed to the last shard), a replace and a
@@ -218,7 +218,7 @@ TEST(ShardedServiceTest, DeltasTrackUnshardedChainAndRebalance) {
   EXPECT_EQ(sharded->Pin()->fingerprint(), reference.Pin()->fingerprint());
 
   // Queries stay exact after routing + any rebalances.
-  MatchQuery query = MakeQuery("after", "bulk(a,b,c)");
+  MatchRequest query = MakeQuery("after", "bulk(a,b,c)");
   query.options.delta = 0.4;
   auto want = reference.Run(query);
   auto got = sharded->Run(query);
@@ -243,7 +243,7 @@ TEST(ShardedServiceTest, SaveAndWarmStartRoundTripsManifestAndShards) {
   schema::SchemaForest forest = MakeCorpus(700, 9);
   auto sharded = MakeSharded(forest, 4);
 
-  MatchQuery query = MakeQuery("q", "person(name,email)");
+  MatchRequest query = MakeQuery("q", "person(name,email)");
   auto before = sharded->Run(query);
   ASSERT_TRUE(before.ok());
 
@@ -253,11 +253,11 @@ TEST(ShardedServiceTest, SaveAndWarmStartRoundTripsManifestAndShards) {
   // Manifest + one file per shard.
   EXPECT_TRUE(fs::exists(path));
   for (size_t s = 0; s < 4; ++s) {
-    EXPECT_TRUE(fs::exists(ShardedMatchService::ShardFilePath(path, s)))
+    EXPECT_TRUE(fs::exists(Matcher::ShardFilePath(path, s)))
         << "shard " << s;
   }
 
-  auto warm = ShardedMatchService::WarmStart(path);
+  auto warm = Matcher::WarmStart(path);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ((*warm)->Shards().size(), 4u);
   EXPECT_EQ((*warm)->Pin()->fingerprint(), sharded->Pin()->fingerprint());
@@ -268,10 +268,10 @@ TEST(ShardedServiceTest, SaveAndWarmStartRoundTripsManifestAndShards) {
   // A manifest whose shards do not match it is refused typed.
   std::string tampered = dir.File("tampered.snap");
   ASSERT_TRUE(sharded->SaveSnapshot(tampered).ok());
-  fs::copy_file(ShardedMatchService::ShardFilePath(tampered, 0),
-                ShardedMatchService::ShardFilePath(tampered, 1),
+  fs::copy_file(Matcher::ShardFilePath(tampered, 0),
+                Matcher::ShardFilePath(tampered, 1),
                 fs::copy_options::overwrite_existing);
-  auto refused = ShardedMatchService::WarmStart(tampered);
+  auto refused = Matcher::WarmStart(tampered);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kCorruption)
       << refused.status().ToString();
@@ -305,8 +305,8 @@ TEST(ShardedServiceTest, RecoverReplaysPerShardWals) {
   }
 
   live::RecoveryReport report;
-  auto recovered = ShardedMatchService::Recover(
-      env, snap, wal, MatchServiceOptions(), ShardedOptions(), &report);
+  auto recovered =
+      Matcher::Recover(env, snap, wal, MatchServiceOptions(), &report);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ((*recovered)->CurrentGeneration(), acked_generation);
   EXPECT_EQ((*recovered)->Pin()->fingerprint(), acked_fingerprint);
@@ -317,7 +317,7 @@ TEST(ShardedServiceTest, RecoverReplaysPerShardWals) {
   // The recovered chain matches an unsharded reference fed the same tale.
   auto snapshot = service::RepositorySnapshot::Create(forest);
   ASSERT_TRUE(snapshot.ok());
-  MatchService reference(std::move(*snapshot));
+  Matcher reference(std::move(*snapshot));
   for (int i = 0; i < 3; ++i) {
     live::DeltaBuilder b;
     b.AddTree(MakeTree("crash(a,b,c)"), "c" + std::to_string(i));
@@ -327,6 +327,154 @@ TEST(ShardedServiceTest, RecoverReplaysPerShardWals) {
   }
   EXPECT_EQ((*recovered)->Pin()->fingerprint(),
             reference.Pin()->fingerprint());
+}
+
+// --- format sniffing at boot ----------------------------------------------
+
+TEST(ShardedServiceTest, WarmStartAndRecoverBootSnapshotFilesAndManifests) {
+  TempDir dir("sniff");
+  util::io::Env* env = util::io::Env::Default();
+  schema::SchemaForest forest = MakeCorpus(500, 29);
+  live::DeltaBuilder builder;
+  builder.AddTree(MakeTree("invoice(number,total,customer)"), "d");
+  auto delta = builder.Build();
+  ASSERT_TRUE(delta.ok());
+  MatchRequest query = MakeQuery("q", "person(name,email)");
+
+  // The reference chain: K = 1, before and after the delta.
+  auto reference = MakeSharded(forest, 1);
+  auto before = reference->Run(query);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(reference->ApplyDelta(*delta).ok());
+  const uint64_t acked_fingerprint = reference->Pin()->fingerprint();
+
+  for (size_t k : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    const std::string snap = dir.File("repo" + std::to_string(k) + ".snap");
+    const std::string wal = dir.File("repo" + std::to_string(k) + ".wal");
+    {
+      auto matcher = MakeSharded(forest, k);
+      ASSERT_TRUE(matcher->SaveSnapshot(snap).ok());
+      ASSERT_TRUE(matcher->AttachWal(env, wal).ok());
+      ASSERT_TRUE(matcher->ApplyDelta(*delta).ok());
+      // Dropped without a save: the delta lives only in the journal(s).
+    }
+    // The file alone tells the format: a snapshot file boots one shard,
+    // a manifest boots the K it names, whatever options.shards says.
+    MatchServiceOptions other_k;
+    other_k.shards = k == 1 ? 4 : 1;
+    auto warm = Matcher::WarmStart(snap, other_k);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ((*warm)->Shards().size(), k);
+    EXPECT_EQ((*warm)->options().shards, k);
+    EXPECT_EQ((*warm)->CurrentGeneration(), 0u);
+    EXPECT_EQ((*warm)->Pin()->fingerprint(), before->fingerprint);
+    EXPECT_EQ(dynamic_cast<const service::RepositorySnapshot*>(
+                  (*warm)->Pin().get()) != nullptr,
+              k == 1);
+    auto after_warm = (*warm)->Run(query);
+    ASSERT_TRUE(after_warm.ok());
+    ExpectSameMappings(after_warm->result, before->result);
+
+    live::RecoveryReport report;
+    auto recovered = Matcher::Recover(env, snap, wal, other_k, &report);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ((*recovered)->Shards().size(), k);
+    EXPECT_EQ((*recovered)->CurrentGeneration(), 1u);
+    EXPECT_EQ((*recovered)->Pin()->fingerprint(), acked_fingerprint);
+    EXPECT_EQ(report.records_replayed, 1u);
+    EXPECT_TRUE((*recovered)->wal_attached());
+  }
+}
+
+// --- the manifest goes through the service Env --------------------------------
+
+/// Records every rename target, so a test can name a save's commit point.
+class RenameLog : public util::io::FaultInjectionEnv {
+ public:
+  using FaultInjectionEnv::FaultInjectionEnv;
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    targets.push_back(to);
+    return FaultInjectionEnv::RenameFile(from, to);
+  }
+  std::vector<std::string> targets;
+};
+
+TEST(ShardedServiceTest, FailedManifestWriteKeepsThePreviousManifest) {
+  schema::SchemaForest forest = MakeCorpus(400, 23);
+  live::DeltaBuilder builder;
+  builder.AddTree(MakeTree("invoice(number,total)"), "d");
+  auto delta = builder.Build();
+  ASSERT_TRUE(delta.ok());
+
+  // One K = 3 save with the WAL attached through `env`, on top of a first
+  // save made without it. Returns the second save's status.
+  auto save_through = [&](const TempDir& dir, util::io::Env* env) {
+    auto matcher = MakeSharded(forest, 3);
+    EXPECT_TRUE(matcher->SaveSnapshot(dir.File("repo.snap")).ok());
+    EXPECT_TRUE(matcher->AttachWal(env, dir.File("repo.wal")).ok());
+    EXPECT_TRUE(matcher->ApplyDelta(*delta).ok());
+    return matcher->SaveSnapshot(dir.File("repo.snap")).status();
+  };
+
+  // Dry run: the manifest is the save's last rename (its commit point),
+  // and it goes through the same Env as the shard files and journals.
+  TempDir dry("manifest_dry");
+  RenameLog log(util::io::FaultPlan{});
+  ASSERT_TRUE(save_through(dry, &log).ok());
+  ASSERT_FALSE(log.targets.empty());
+  ASSERT_EQ(log.targets.back(), dry.File("repo.snap"));
+
+  // Same sequence, with that rename failing.
+  TempDir dir("manifest_fail");
+  util::io::FaultPlan plan;
+  plan.fail_rename_at = static_cast<int64_t>(log.targets.size()) - 1;
+  util::io::FaultInjectionEnv faulty(plan);
+  auto matcher = MakeSharded(forest, 3);
+  ASSERT_TRUE(matcher->SaveSnapshot(dir.File("repo.snap")).ok());
+  auto previous = util::io::Env::Default()->ReadFileToString(
+      dir.File("repo.snap"));
+  ASSERT_TRUE(previous.ok());
+  ASSERT_TRUE(matcher->AttachWal(&faulty, dir.File("repo.wal")).ok());
+  ASSERT_TRUE(matcher->ApplyDelta(*delta).ok());
+  auto saved = matcher->SaveSnapshot(dir.File("repo.snap"));
+  ASSERT_FALSE(saved.ok());
+  EXPECT_EQ(saved.status().code(), StatusCode::kIOError)
+      << saved.status().ToString();
+  auto now = util::io::Env::Default()->ReadFileToString(dir.File("repo.snap"));
+  ASSERT_TRUE(now.ok());
+  EXPECT_EQ(*now, *previous);
+}
+
+// --- traced shard builds ------------------------------------------------------
+
+TEST(ShardedServiceTest, TracedShardedBuildCarriesDictionarySpans) {
+  schema::SchemaForest forest = MakeCorpus(600, 31);
+  auto sharded = MakeSharded(forest, 2);
+  MatchRequest query = MakeQuery("traced", "person(name,email,phone)");
+  auto count = [](const obs::TraceContext& trace, const std::string& name) {
+    size_t n = 0;
+    for (const obs::TraceSpan& span : trace.spans()) n += span.name == name;
+    return n;
+  };
+
+  // A cold query builds every shard's element matching itself, so each
+  // shard's dictionary spans land in its trace.
+  obs::TraceContext cold;
+  core::ExecutionControl control;
+  control.trace = &cold;
+  auto result = sharded->RunOn(sharded->Pin(), query, control);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(count(cold, "dict_score"), 2u);
+  EXPECT_EQ(count(cold, "dict_broadcast"), 2u);
+  EXPECT_GE(count(cold, "clustering"), 1u);
+
+  // A warm query builds nothing: no dictionary spans.
+  obs::TraceContext warm;
+  control.trace = &warm;
+  ASSERT_TRUE(sharded->RunOn(sharded->Pin(), query, control).ok());
+  EXPECT_EQ(count(warm, "dict_score"), 0u);
+  EXPECT_EQ(count(warm, "cluster_cache"), 1u);
 }
 
 // --- batch metrics contract (no double counting) ---------------------------
@@ -349,12 +497,12 @@ TEST(ShardedServiceTest, BatchMembersCountOnceInQueriesFamily) {
     if (backend == 0) {
       auto snapshot = service::RepositorySnapshot::Create(forest);
       ASSERT_TRUE(snapshot.ok());
-      matcher = std::make_unique<MatchService>(std::move(*snapshot), options);
+      matcher = std::make_unique<Matcher>(std::move(*snapshot), options);
     } else {
       matcher = MakeSharded(forest, 3, options);
     }
 
-    std::vector<MatchQuery> queries;
+    std::vector<MatchRequest> queries;
     for (size_t q = 0; q < 3; ++q) {
       queries.push_back(MakeQuery("b" + std::to_string(q), specs[q]));
     }
@@ -390,7 +538,7 @@ TEST(ShardedServiceTest, ServeSessionStreamsIdenticalMappingEvents) {
   schema::SchemaForest forest = MakeCorpus(700, 21);
   auto snapshot = service::RepositorySnapshot::Create(forest);
   ASSERT_TRUE(snapshot.ok());
-  MatchService reference(std::move(*snapshot));
+  Matcher reference(std::move(*snapshot));
   auto sharded = MakeSharded(forest, 4);
 
   service::ServeSessionOptions session_options;
@@ -441,10 +589,9 @@ TEST(ShardedServiceTest, ServeSessionStreamsIdenticalMappingEvents) {
 
 TEST(ShardedServiceTest, ZeroShardsIsRefused) {
   schema::SchemaForest forest = MakeCorpus(120, 1);
-  ShardedOptions shard_options;
-  shard_options.num_shards = 0;
-  auto sharded = ShardedMatchService::Create(forest, MatchServiceOptions(),
-                                             shard_options);
+  MatchServiceOptions options;
+  options.shards = 0;
+  auto sharded = Matcher::Create(forest, options);
   ASSERT_FALSE(sharded.ok());
   EXPECT_EQ(sharded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -453,7 +600,7 @@ TEST(ShardedServiceTest, ForeignPinIsRefused) {
   schema::SchemaForest forest = MakeCorpus(200, 2);
   auto snapshot = service::RepositorySnapshot::Create(forest);
   ASSERT_TRUE(snapshot.ok());
-  MatchService reference(std::move(*snapshot));
+  Matcher reference(std::move(*snapshot));
   auto sharded = MakeSharded(forest, 2);
 
   // An unsharded pin cannot run on the sharded backend (and the failure is

@@ -19,15 +19,15 @@
 #include "repo/synthetic.h"
 #include "schema/schema_forest.h"
 #include "schema/schema_tree.h"
-#include "service/match_service.h"
+#include "service/matcher.h"
 #include "service/repository_snapshot.h"
 #include "util/random.h"
 
 namespace xsm::store {
 namespace {
 
-using service::MatchQuery;
-using service::MatchService;
+using service::MatchRequest;
+using service::Matcher;
 using service::RepositorySnapshot;
 
 const char* kSpecs[] = {
@@ -170,16 +170,16 @@ void ExpectRoundTripEquivalent(
   ExpectIndexesEqual(loaded->index(), original->index(), original->forest());
 
   // Query-for-query: identical mappings, ranks, and scores.
-  MatchService warm(loaded);
-  MatchService cold(original);
+  Matcher warm(loaded);
+  Matcher cold(original);
   for (size_t s = 0; s < kNumSpecs; ++s) {
-    MatchQuery query;
+    MatchRequest query;
     query.id = "rt-" + std::to_string(s);
     query.personal = *schema::ParseTreeSpec(kSpecs[s]);
     query.options.delta = 0.6;
     query.options.top_n = 10;
-    auto got = warm.Match(query);
-    auto want = cold.Match(query);
+    auto got = warm.RunOn(warm.Pin(), query, {});
+    auto want = cold.RunOn(cold.Pin(), query, {});
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     ExpectSameMatchResults(*got, *want);
@@ -326,30 +326,30 @@ TEST(SnapshotStoreTest, SaveLoadApplyDeltaMatchesUninterruptedChain) {
   }
 }
 
-// MatchService-level warm boot: SaveSnapshot on one service, WarmStart a
+// Matcher-level warm boot: SaveSnapshot on one service, WarmStart a
 // second one from the file, and both serve identical results; the warm
 // service keeps ingesting deltas from the persisted generation.
 TEST(SnapshotStoreTest, MatchServiceWarmStartServesIdenticalResults) {
-  auto cold = MatchService::Create(MakeCorpus(400, 61));
+  auto cold = Matcher::Create(MakeCorpus(400, 61));
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
 
   const std::string path = testing::TempDir() + "/xsm_store_service.snap";
   auto saved = (*cold)->SaveSnapshot(path);
   ASSERT_TRUE(saved.ok()) << saved.status().ToString();
 
-  auto warm = MatchService::WarmStart(path);
+  auto warm = Matcher::WarmStart(path);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ((*warm)->CurrentGeneration(), 0u);
-  EXPECT_EQ((*warm)->CurrentSnapshot()->fingerprint(),
-            (*cold)->CurrentSnapshot()->fingerprint());
+  EXPECT_EQ((*warm)->Pin()->fingerprint(),
+            (*cold)->Pin()->fingerprint());
 
   for (size_t s = 0; s < kNumSpecs; ++s) {
-    MatchQuery query;
+    MatchRequest query;
     query.id = "svc-" + std::to_string(s);
     query.personal = *schema::ParseTreeSpec(kSpecs[s]);
     query.options.delta = 0.6;
-    auto got = (*warm)->Match(query);
-    auto want = (*cold)->Match(query);
+    auto got = (*warm)->RunOn((*warm)->Pin(), query, {});
+    auto want = (*cold)->RunOn((*cold)->Pin(), query, {});
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     ExpectSameMatchResults(*got, *want);

@@ -22,7 +22,7 @@
 //            --queries FILE [--threads N] [--delta D] [--top N]
 //            [--cluster tree|kmeans] [--join J] [--threshold T] [--alpha A]
 //            [--deadline-ms MS] [--first-n N] [--cluster-events]
-//            Run a MatchService batch from a query file: one query per
+//            Run a service::Matcher batch from a query file: one query per
 //            line, `SPEC [key=value ...]` (keys: id, delta, top, cluster,
 //            join, threshold, alpha); '#' starts a comment. Per-line keys
 //            override the command-line defaults. Results stream to stdout
@@ -131,7 +131,6 @@
 #include "net/tenant_registry.h"
 #include "schema/serialization.h"
 #include "service/serve_session.h"
-#include "shard/sharded_match_service.h"
 
 namespace {
 
@@ -227,7 +226,7 @@ int Usage() {
       "over the threshold. http also serves GET /metrics (Prometheus text).\n"
       "--shards K (batch/serve/http) serves from K node-balanced\n"
       "repository shards with exact scatter-gather matching — results are\n"
-      "byte-identical to the unsharded engine.\n"
+      "byte-identical at every K (default 1).\n"
       "stats/match/batch/serve also accept --warm-start FILE.snap (a file\n"
       "written by `save` or `!save`) as the repository source: the\n"
       "snapshot loads whole, nothing is re-parsed or re-indexed, and the\n"
@@ -555,24 +554,15 @@ Result<std::unique_ptr<service::Matcher>> MakeService(const Args& args) {
   // clock starts at Submit, so pool queue wait counts against it.
   options.default_deadline_seconds = args.GetDouble("deadline-ms", 0) / 1e3;
   options.slow_query_ms = args.GetDouble("slow-query-ms", 0);
+  options.shards = static_cast<size_t>(shards);
   // Warm start included: LoadSnapshot dispatches on --warm-start, and the
-  // service then continues delta ingestion from the loaded generation.
+  // service then continues delta ingestion from the loaded generation. With
+  // --shards K > 1 the loaded forest is repartitioned (results stay
+  // byte-identical at every K).
   XSM_ASSIGN_OR_RETURN(
       std::shared_ptr<const service::RepositorySnapshot> snapshot,
       LoadSnapshot(args));
-  if (shards > 1) {
-    // Sharded backend: repartition the loaded forest (results stay
-    // byte-identical to the unsharded backend — see src/shard).
-    shard::ShardedOptions shard_options;
-    shard_options.num_shards = static_cast<size_t>(shards);
-    XSM_ASSIGN_OR_RETURN(
-        std::unique_ptr<shard::ShardedMatchService> sharded,
-        shard::ShardedMatchService::Create(snapshot->forest(), options,
-                                           shard_options));
-    return std::unique_ptr<service::Matcher>(std::move(sharded));
-  }
-  return std::unique_ptr<service::Matcher>(
-      std::make_unique<service::MatchService>(std::move(snapshot), options));
+  return service::Matcher::Create(std::move(snapshot), options);
 }
 
 // --- NDJSON event streaming (batch / serve / http) -------------------------
@@ -620,7 +610,7 @@ int RunBatch(const Args& args) {
     std::fprintf(stderr, "cannot open %s\n", args.Get("queries").c_str());
     return 1;
   }
-  std::vector<service::MatchQuery> queries;
+  std::vector<service::MatchRequest> queries;
   std::string line;
   size_t lineno = 0;
   while (std::getline(file, line)) {
@@ -791,7 +781,7 @@ int RunIntegrate(const Args& args) {
     std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
     return 1;
   }
-  service::MatchService service(std::move(*snapshot), service_options);
+  service::Matcher service(std::move(*snapshot), service_options);
 
   integrate::IntegrationOptions options;
   options.threshold = args.GetDouble("threshold", options.threshold);
@@ -908,7 +898,7 @@ int RunHttp(const Args& args) {
     std::fprintf(stderr, "--shards must be >= 1\n");
     return 2;
   }
-  registry_options.shards = static_cast<size_t>(shards);
+  registry_options.service.shards = static_cast<size_t>(shards);
   registry_options.state_dir = args.Get("state-dir");
   // With a state dir, every tenant write-ahead journals its deltas
   // (checkpoint at creation, fsync'd append per delta, replay on boot) so
